@@ -152,16 +152,18 @@ func TestPhaseKeepsCalmWindows(t *testing.T) {
 	inf := math.Inf(1)
 	for _, tc := range []struct {
 		stolen []float64
+		target int
 		want   []int
 	}{
 		// Enough calm windows: exactly those, the ramp window never.
-		{[]float64{inf, 0, 0.5, 0.01, 0, 0.3}, []int{1, 3, 4}},
-		// Too few calm: the windows/2 least disturbed, in window order.
-		{[]float64{0.2, 0.1, 0.05, 0.3, 0.07, 0.06, 0.5, 0.4, 0.9, 0.08, 0.6}, []int{1, 2, 4, 5, 9}},
+		{[]float64{inf, 0, 0.5, 0.01, 0, 0.3}, 4, []int{1, 3, 4}},
+		// Too few calm: the target/2 least disturbed, in window order.
+		{[]float64{inf, 0, 0.5, 0.01, 0, 0.3}, 10, []int{1, 2, 3, 4, 5}},
+		{[]float64{0.2, 0.1, 0.05, 0.3, 0.07, 0.06, 0.5, 0.4, 0.9, 0.08, 0.6}, 10, []int{1, 2, 4, 5, 9}},
 		// Fewer windows than that: all but the ramp.
-		{[]float64{inf, 0.5, 0.6}, []int{1, 2}},
+		{[]float64{inf, 0.5, 0.6}, 10, []int{1, 2}},
 	} {
-		p := &phase{stolen: tc.stolen}
+		p := &phase{stolen: tc.stolen, want: tc.target}
 		if got := p.kept(); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("kept(%v) = %v, want %v", tc.stolen, got, tc.want)
 		}
@@ -239,6 +241,47 @@ func TestOpenLoopTimesFromDueTime(t *testing.T) {
 	}
 	if got := ms(calm[6].done - calm[6].due); got > ms(stall)/2 {
 		t.Errorf("without a stall the same request took %.1fms from due", got)
+	}
+}
+
+// TestClosedLoopPipelined drives a fake daemon from two connections,
+// each keeping several requests outstanding, and checks that every
+// request is sent once and answered once, in windows.
+func TestClosedLoopPipelined(t *testing.T) {
+	addr := fakeDaemon(t, -1, 0)
+	cs := []*conn{{addr: addr}, {addr: addr}}
+	defer cs[0].close()
+	defer cs[1].close()
+	const n = 500
+	frames := make([][]byte, n)
+	reqs := make([]int, n)
+	for i := range frames {
+		frames[i] = encodeFrame(&rpc.Request{Op: rpc.OpTransmit, User: "u", Text: "hello"})
+		reqs[i] = i
+	}
+	windows := 0
+	ss := closedLoop(cs, reqs, frames, 4, 5*time.Millisecond, func(busy time.Duration) bool {
+		if busy <= 0 {
+			t.Errorf("window %d busy for %v", windows, busy)
+		}
+		windows++
+		return false
+	})
+	if len(ss) != n {
+		t.Fatalf("%d calls made, want %d", len(ss), n)
+	}
+	seen := make(map[int]bool)
+	for _, s := range ss {
+		if s.fail != "" || s.resp == nil || s.resp.Restored != "x" {
+			t.Fatalf("request %d: fail %q, response %+v", s.req, s.fail, s.resp)
+		}
+		if seen[s.req] {
+			t.Fatalf("request %d answered twice", s.req)
+		}
+		seen[s.req] = true
+		if s.win < 0 || s.win >= windows || s.done < s.sent {
+			t.Fatalf("request %d: window %d of %d, sent %v, done %v", s.req, s.win, windows, s.sent, s.done)
+		}
 	}
 }
 

@@ -15,6 +15,10 @@ const (
 	// conns is the load generator's connection count: the 2 cores of the
 	// reference machine. The roam loop is serial instead.
 	conns = 2
+	// pipeDepth is how many requests each closed-loop connection keeps
+	// outstanding, so the daemon finds its next request waiting rather
+	// than idling through every client turnaround.
+	pipeDepth = 4
 	// setupRepeats is how many times a crowd or personal run boots its
 	// daemon from scratch; setup_s is the median.
 	setupRepeats = 3
@@ -82,7 +86,7 @@ type spec struct {
 	// serialRate bounds the rate of a serial latency phase, in req/s.
 	serialRate float64
 	// closedRate bounds the closed-loop rate the generated stream can
-	// feed, in req/s.
+	// feed, in req/s; a faster closed loop ends early.
 	closedRate float64
 	// passRequests is the fixed number of requests each roam pass serves.
 	passRequests int
@@ -98,7 +102,7 @@ type spec struct {
 // when the benchmark was added, which leaves headroom for the host's
 // steal bursts.
 var specs = map[string]spec{
-	"crowd":    {name: "crowd", openRate: 4000, closedRate: 14000, replay: 20000},
+	"crowd":    {name: "crowd", openRate: 4000, closedRate: 16000, replay: 20000},
 	"personal": {name: "personal", serialRate: 5000, closedRate: 8000, replay: 40000},
 	"roam":     {name: "roam", passRequests: 6000, replay: 40000, mesh: true},
 }

@@ -25,9 +25,10 @@ const (
 	failTimeout   = "timeout"   // no answer within requestTimeout
 )
 
-// sample is one client call. Times are offsets from the phase start; due
-// is when an open loop was scheduled to send it (0 in a closed loop) and
-// enq when the generator handed it to its connection.
+// sample is one client call. Times are offsets from the start of its
+// phase (open and serial loops) or of its window and connection (closed
+// loop); due is when an open loop was scheduled to send it (0 in a
+// closed loop) and enq when the generator handed it to its connection.
 type sample struct {
 	req                  int
 	win                  int // window of its phase
@@ -53,40 +54,63 @@ type conn struct {
 // roundTrip sends one request frame and returns the JSON payload of the
 // response frame.
 func (c *conn) roundTrip(frame []byte) ([]byte, string) {
+	if fail := c.send(frame); fail != "" {
+		return nil, fail
+	}
+	return c.recv()
+}
+
+// send writes one request frame, dialing first if the connection is
+// down. Its answer is read by a later recv; answers come in request
+// order.
+func (c *conn) send(frame []byte) string {
 	if c.nc == nil {
 		nc, err := net.DialTimeout("tcp", c.addr, requestTimeout)
 		if err != nil {
-			return nil, failTransport
+			return failTransport
 		}
 		c.nc, c.rd = nc, bufio.NewReader(nc)
 	}
-	fail := func(err error) ([]byte, string) {
-		c.close()
-		if errors.Is(err, os.ErrDeadlineExceeded) {
-			return nil, failTimeout
-		}
+	if err := c.nc.SetDeadline(time.Now().Add(requestTimeout)); err != nil {
+		return c.fail(err)
+	}
+	if _, err := c.nc.Write(frame); err != nil {
+		return c.fail(err)
+	}
+	return ""
+}
+
+// recv reads the next response frame and returns its JSON payload.
+func (c *conn) recv() ([]byte, string) {
+	if c.nc == nil {
 		return nil, failTransport
 	}
 	if err := c.nc.SetDeadline(time.Now().Add(requestTimeout)); err != nil {
-		return fail(err)
-	}
-	if _, err := c.nc.Write(frame); err != nil {
-		return fail(err)
+		return nil, c.fail(err)
 	}
 	// The frame header: one version byte, then the little-endian payload
 	// length (see internal/rpc).
 	if _, err := io.ReadFull(c.rd, c.hdr[:]); err != nil {
-		return fail(err)
+		return nil, c.fail(err)
 	}
 	n := binary.LittleEndian.Uint32(c.hdr[1:])
 	if c.hdr[0] != rpc.Version || n > rpc.MaxMessageBytes {
-		return fail(fmt.Errorf("bad response frame header %x", c.hdr))
+		return nil, c.fail(fmt.Errorf("bad response frame header %x", c.hdr))
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(c.rd, payload); err != nil {
-		return fail(err)
+		return nil, c.fail(err)
 	}
 	return payload, ""
+}
+
+// fail drops the connection after err and classifies the failure.
+func (c *conn) fail(err error) string {
+	c.close()
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		return failTimeout
+	}
+	return failTransport
 }
 
 // decode parses a response payload and classifies it.
@@ -208,54 +232,41 @@ func openLoop(cs []*conn, reqs, route []int, rate float64, frames [][]byte, perW
 	return out
 }
 
-// closedLoop runs one client per connection, each sending the next
-// request of reqs, whichever user it is from, as soon as its previous one
-// returns, so the rate does not depend on how users split over the
-// connections. Every win it calls
-// endWindow, and it stops when endWindow reports the phase done or reqs
-// run out. It returns the calls made, each tagged with the window it
-// completed in.
-func closedLoop(cs []*conn, reqs []int, frames [][]byte, win time.Duration, endWindow func() (done bool)) []sample {
-	var stop atomic.Bool
+// closedLoop runs one client per connection, each taking the next
+// request of reqs, whichever user it is from, so the rate does not depend
+// on how users split over the connections. Each client keeps depth
+// requests outstanding on its connection (depth 1 is a plain round-trip
+// loop) and sends the next as soon as an answer returns. The loop runs in
+// windows of win: at the end of each, the clients stop sending, collect
+// their outstanding answers and wait while endWindow runs with the time
+// the window was busy. It stops when endWindow reports the phase done or
+// reqs run out, and returns the calls made, each tagged with its window.
+func closedLoop(cs []*conn, reqs []int, frames [][]byte, depth int, win time.Duration, endWindow func(busy time.Duration) (done bool)) []sample {
 	var next atomic.Int64
 	res := make([][]sample, len(cs))
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := range cs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer stop.Store(true)
-			for !stop.Load() {
-				k := int(next.Add(1) - 1)
-				if k >= len(reqs) {
-					return
-				}
-				s := sample{req: reqs[k], sent: time.Since(start)}
-				s.raw, s.fail = cs[i].roundTrip(frames[reqs[k]])
-				s.done = time.Since(start)
-				s.win = int(s.done / win)
-				res[i] = append(res[i], s)
-			}
-		}()
-	}
-	finished := make(chan struct{})
-	go func() {
+	for w := 0; ; w++ {
+		var exhausted atomic.Bool
+		var wg sync.WaitGroup
+		start := time.Now()
+		deadline := start.Add(win)
+		ends := make([]time.Time, len(cs))
+		for i := range cs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res[i] = clientWindow(cs[i], res[i], reqs, frames, depth, w, deadline, &next, &exhausted)
+				ends[i] = time.Now()
+			}()
+		}
 		wg.Wait()
-		close(finished)
-	}()
-	tick := time.NewTicker(win)
-	defer tick.Stop()
-	for running := true; running; {
-		select {
-		case <-finished:
-			running = false
-		case <-tick.C:
-			if endWindow() {
-				stop.Store(true)
-				<-finished
-				running = false
+		end := start
+		for _, e := range ends {
+			if e.After(end) {
+				end = e
 			}
+		}
+		if endWindow(end.Sub(start)) || exhausted.Load() {
+			break
 		}
 	}
 	var out []sample
@@ -266,7 +277,53 @@ func closedLoop(cs []*conn, reqs []int, frames [][]byte, win time.Duration, endW
 	return out
 }
 
+// clientWindow runs one connection's client for window w until deadline,
+// appending its calls to out.
+func clientWindow(c *conn, out []sample, reqs []int, frames [][]byte, depth, w int, deadline time.Time,
+	next *atomic.Int64, exhausted *atomic.Bool) []sample {
+	base := time.Now()
+	inflight := make([]sample, 0, depth)
+	finish := func(s sample) {
+		s.done = time.Since(base)
+		s.win = w
+		out = append(out, s)
+	}
+	for {
+		for len(inflight) < depth && !exhausted.Load() && time.Now().Before(deadline) {
+			k := int(next.Add(1) - 1)
+			if k >= len(reqs) {
+				exhausted.Store(true)
+				break
+			}
+			s := sample{req: reqs[k], sent: time.Since(base)}
+			if s.fail = c.send(frames[reqs[k]]); s.fail != "" {
+				finish(s)
+				break
+			}
+			inflight = append(inflight, s)
+		}
+		if len(inflight) == 0 {
+			if exhausted.Load() || !time.Now().Before(deadline) {
+				return out
+			}
+			continue // the send failed; redial with the next request
+		}
+		s := inflight[0]
+		inflight = inflight[1:]
+		s.raw, s.fail = c.recv()
+		finish(s)
+		if s.fail != "" {
+			// The connection is gone, and every answer queued on it.
+			for _, q := range inflight {
+				q.fail = s.fail
+				finish(q)
+			}
+			inflight = inflight[:0]
+		}
+	}
+}
+
 // warmUp serves reqs over the connections as fast as answers come.
 func warmUp(cs []*conn, reqs []int, frames [][]byte) []sample {
-	return closedLoop(cs, reqs, frames, time.Hour, func() bool { return false })
+	return closedLoop(cs, reqs, frames, 1, time.Hour, func(time.Duration) bool { return false })
 }

@@ -36,7 +36,7 @@ func run() int {
 	var (
 		workload = flag.String("workload", "", "workload: "+strings.Join(workloadNames, ", ")+" or all")
 		seed     = flag.Uint64("seed", 1, "seed of the generated request stream")
-		seconds  = flag.Float64("seconds", 10, "measured time of one run, in seconds")
+		seconds  = flag.Float64("seconds", 22, "measured time of one run, in seconds")
 		traceOn  = flag.Int("trace", 0, "1 reports the per-layer metrics, 0 the end-to-end ones")
 		binDir   = flag.String("bin-dir", "", "directory holding the edged and semkb binaries")
 		workDir  = flag.String("work-dir", "", "scratch directory for model files and span logs")

@@ -176,8 +176,9 @@ const digestPrefix = 1000
 const chunksPerPass = 6
 
 // runSerial serves the first n requests of the plan's stream, one call at
-// a time, closing a window of ph every n/chunksPerPass requests.
-func runSerial(m *meshClient, p *plan, n int, frames [][]byte, ph *phase) (*serialRun, error) {
+// a time, closing a window of ph every n/chunksPerPass requests and
+// calling between after each window.
+func runSerial(m *meshClient, p *plan, n int, frames [][]byte, ph *phase, between func()) (*serialRun, error) {
 	if n < digestPrefix || n > len(p.w.Requests) {
 		return nil, fmt.Errorf("roam pass of %d requests: need %d to %d", n, digestPrefix, len(p.w.Requests))
 	}
@@ -189,6 +190,8 @@ func runSerial(m *meshClient, p *plan, n int, frames [][]byte, ph *phase) (*seri
 	for i, r := range p.w.Requests[:n] {
 		if i > 0 && i%chunk == 0 && i/chunk < chunksPerPass {
 			ph.endWindow()
+			between()
+			ph.steal, ph.total, ph.ok = readCPU()
 		}
 		if i == digestPrefix {
 			st, err := m.stats()

@@ -25,6 +25,7 @@ var endToEnd = []metricDef{
 
 var perLayer = []metricDef{
 	{"loadgen.late_p99_ms", "ms", "lower"},
+	{"loadgen.host_speed", "frac", "higher"},
 	{"client.lat_p99_ms", "ms", "lower"},
 	{"rpc.overhead_p50_ms", "ms", "lower"},
 	{"rpc.req_frame_B", "B", "lower"},

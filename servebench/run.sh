@@ -2,7 +2,7 @@
 # Builds edged, semkb and the benchmark from the tree, then runs the
 # benchmark with the given arguments. Run from the repository root:
 #
-#   bash servebench/run.sh --workload crowd --seed 1 --seconds 10 --trace 0
+#   bash servebench/run.sh --workload crowd --seed 1 --seconds 22 --trace 0
 #
 # Every build output, Go cache and scratch file stays under .bench_build/.
 set -euo pipefail

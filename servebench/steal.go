@@ -55,17 +55,17 @@ func readCPU() (steal, total uint64, ok bool) {
 
 // phase records, window by window, how much CPU time the host stole
 // during a timed phase. Its first ramp windows never count: they absorb
-// the change of load from the previous phase. A phase goes on, up to
-// maxWindows, until `windows` windows were calm.
+// the change of load from the previous phase. A phase goes on, up to max
+// windows, until want windows were calm.
 type phase struct {
-	ramp         int
-	stolen       []float64 // share of CPU time stolen per window; +Inf for ramp windows
-	steal, total uint64
-	ok           bool
+	ramp, want, max int
+	stolen          []float64 // share of CPU time stolen per window; +Inf for ramp windows
+	steal, total    uint64
+	ok              bool
 }
 
-func newPhase(ramp int) *phase {
-	p := &phase{ramp: ramp}
+func newPhase(ramp, want, max int) *phase {
+	p := &phase{ramp: ramp, want: want, max: max}
 	p.steal, p.total, p.ok = readCPU()
 	return p
 }
@@ -87,7 +87,7 @@ func (p *phase) endWindow() bool {
 }
 
 func (p *phase) done() bool {
-	return len(p.stolen) >= maxWindows || p.calmCount() >= windows
+	return len(p.stolen) >= p.max || p.calmCount() >= p.want
 }
 
 func (p *phase) calmCount() int {
@@ -101,7 +101,7 @@ func (p *phase) calmCount() int {
 }
 
 // kept returns the windows the windowed metrics use: the calm ones, or,
-// when fewer than minCalm were calm, the windows/2 least disturbed ones.
+// when fewer than want/2 were calm, the want/2 least disturbed ones.
 func (p *phase) kept() []int {
 	idx := make([]int, 0, len(p.stolen))
 	for i := range p.stolen {
@@ -111,8 +111,8 @@ func (p *phase) kept() []int {
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return p.stolen[idx[a]] < p.stolen[idx[b]] })
 	n := p.calmCount()
-	if n < minCalm {
-		n = min(windows/2, len(idx))
+	if n < p.want/2 {
+		n = min(p.want/2, len(idx))
 	}
 	idx = idx[:n]
 	sort.Ints(idx)
@@ -130,7 +130,7 @@ type calmGate struct {
 
 const (
 	calmProbe  = 250 * time.Millisecond
-	calmBudget = 30 * time.Second
+	calmBudget = 5 * time.Second
 )
 
 func (g *calmGate) wait() {

@@ -14,10 +14,6 @@ import (
 // are paid outside the measured phases.
 const warmupRequests = 4000
 
-// closedWindows is how many windows of closed-loop requests, at the
-// workload's closedRate, the generated stream holds.
-const closedWindows = 16
-
 // plan is one workload's generated request stream and its split into
 // phases. Requests[0:warmup] warm up, [warmup:openEnd] are the open
 // loop's, and the rest feed the closed loop. The roam mesh replays the
@@ -28,8 +24,9 @@ type plan struct {
 	w       *trace.Workload
 	warmup  int
 	openEnd int
-	// win is the length of one window of a timed phase: the open and the
-	// closed loop each take `windows` of them when the host is calm.
+	// win is the length of one window of a timed phase: the open loop
+	// takes `windows` of them and the closed loop closedWindows when the
+	// host is calm.
 	win time.Duration
 	// moveAt[i] is the cell the user of request i moves to just before it,
 	// or -1 (roam only).
@@ -45,13 +42,13 @@ func newPlan(corp *corpus.Corpus, sp spec, seed uint64, seconds float64) (*plan,
 	var n int
 	switch sp.name {
 	case "crowd", "personal":
-		p.win = time.Duration(seconds / 2 / windows * float64(time.Second))
+		p.win = time.Duration(seconds / (windows + closedWindows) * float64(time.Second))
 		p.warmup = warmupRequests
-		// Enough requests for an open loop stretched to maxWindows; a
-		// closed loop that outruns its share ends early instead (its
-		// share is sized for closedWindows, to bound memory).
+		// Enough requests for an open loop stretched to maxWindows and a
+		// closed loop stretched to maxClosedWindows at closedRate; a
+		// faster closed loop ends early.
 		p.openEnd = p.warmup + maxWindows*int((sp.openRate+sp.serialRate)*p.win.Seconds())
-		n = p.openEnd + int(math.Ceil(sp.closedRate*p.win.Seconds()*closedWindows))
+		n = p.openEnd + int(math.Ceil(sp.closedRate*p.win.Seconds()*maxClosedWindows))
 		n = max(n, sp.replay)
 		if sp.name == "crowd" {
 			// Generic speakers, uniform over many users: at a mean of 8
