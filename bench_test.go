@@ -452,23 +452,6 @@ func BenchmarkAddOuter(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchEncode measures batch semantic encoding of many messages
-// through one codec, serial versus sharded across the worker pool.
-func BenchmarkBatchEncode(b *testing.B) {
-	env := experiments.Environment()
-	codec := env.General("it")
-	gen := corpus.NewGenerator(env.Corpus, mat.NewRNG(1))
-	msgs := make([][]string, 0, 256)
-	for _, m := range gen.Batch(env.Corpus.Domain("it").Index, 256, nil) {
-		msgs = append(msgs, m.Words)
-	}
-	benchSerialParallel(b, 0, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			codec.DecodeBatch(codec.EncodeBatch(msgs))
-		}
-	})
-}
-
 // BenchmarkEncodeGEMM pits the historical per-vector codec path (one
 // MulVec-based encode and decode per token) against the batched GEMM path
 // (all tokens of a message packed into one matrix, one fused GEMM per

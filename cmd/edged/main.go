@@ -14,12 +14,14 @@
 // layer, bit-identical per request to solo serving (see
 // internal/core/batch.go).
 //
-// With -nodes N the sender side becomes an N-node edge cluster inside
-// this one process: users are routed to nodes by consistent hashing, the
-// "move" op relocates a user to a radio cell (handing their personalized
-// models over when the serving node changes), nodes resolve cache misses
-// from their neighbors before paying the cloud origin, and "stats"
-// reports per-node counters.
+// With -nodes N the daemon runs an N-member edge cluster inside this one
+// process: the members of internal/mesh, talking over in-memory pipes.
+// Users are routed to members by consistent hashing, the "move" op
+// relocates a user to a radio cell (handing their complete serving state
+// — individual models, pending update buffers, noise sequence — over
+// when the serving member changes), members resolve cache misses from
+// their neighbors before paying the cloud origin, and "stats" reports
+// per-member counters.
 //
 // With -pprof addr a net/http/pprof endpoint runs on a side port; adding
 // -profile-contention also records mutex and block profiles there
@@ -28,10 +30,9 @@
 // PerUserNoise path removed — is measured under live load.
 //
 // With -peers a,b,c -mesh-index i this process is instead member i of a
-// multi-process mesh: independent edged processes that cooperate over
-// the v2 wire protocol (liveness probes, cooperative model fetch,
-// cross-process handover) and together reproduce the in-process cluster
-// bit for bit. See internal/mesh.
+// multi-process mesh: the same members as -nodes, one per process, that
+// cooperate over TCP (plus liveness probes and graceful drain) and serve
+// every user bit-identically to `edged -nodes N`. See internal/mesh.
 //
 // Usage:
 //

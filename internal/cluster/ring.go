@@ -1,3 +1,8 @@
+// Package cluster holds the consistent-hash ring that assigns users to
+// the members of a semantic edge cluster. The cluster itself — members,
+// cooperative fetch and handover — lives in internal/mesh; the ring sits
+// apart so clients and load generators can route users exactly as the
+// members do without importing the serving stack.
 package cluster
 
 import (
@@ -11,10 +16,9 @@ import (
 // to the first point clockwise from their own hash. Identically-configured
 // clusters therefore route identically, and adding or removing one node
 // reassigns only the users whose arcs it owned — the property that keeps
-// cache warmth intact as a deployment scales, and that lets the
-// multi-process mesh recompute ownership on join/leave by rebuilding the
-// ring over the live members (a dead node's points vanish; every other
-// arc is untouched).
+// cache warmth intact as a deployment scales, and that lets the mesh
+// recompute ownership on join/leave by rebuilding the ring over the live
+// members (a dead node's points vanish; every other arc is untouched).
 type Ring struct {
 	points []ringPoint // sorted by hash
 }
@@ -43,21 +47,11 @@ func Hash64(s string) uint64 {
 	return x
 }
 
-// NewRing places replicas virtual points per node for nodes 0..nodes-1,
-// seeded by seed.
-func NewRing(nodes, replicas int, seed uint64) *Ring {
-	members := make([]int, nodes)
-	for i := range members {
-		members[i] = i
-	}
-	return NewRingFor(members, replicas, seed)
-}
-
-// NewRingFor builds the ring over an explicit member set (node indices,
-// not necessarily contiguous). A member's virtual points depend only on
-// its own index, so NewRingFor([0,2], ...) is exactly NewRing(3, ...)
-// with node 1's points removed — the rebalance a mesh performs when a
-// peer dies.
+// NewRingFor builds the ring over a member set (node indices, not
+// necessarily contiguous), placing replicas virtual points per member,
+// seeded by seed. A member's virtual points depend only on its own
+// index, so the ring over [0,2] is the ring over [0,1,2] with node 1's
+// points removed — the rebalance a mesh performs when a peer dies.
 func NewRingFor(members []int, replicas int, seed uint64) *Ring {
 	r := &Ring{points: make([]ringPoint, 0, len(members)*replicas)}
 	for _, n := range members {

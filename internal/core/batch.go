@@ -410,7 +410,7 @@ func (s *System) BatchingEnabled() bool { return s.batcher != nil }
 // solo path.
 func (s *System) transmitBatched(sc *mat.Scratch, st *userState, user string, words []string, selected int, sel selection.Selector) (*Result, []int, error) {
 	domain := s.Corpus.Domains[selected].Name
-	sender := s.senderFor(user)
+	sender := s.Sender
 
 	// Codec acquisition happens request-side, exactly like the solo
 	// path's Encode/Decode: cache hits, fetch latencies and

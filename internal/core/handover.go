@@ -8,14 +8,12 @@ import (
 	"repro/internal/selection"
 )
 
-// This file is the System-level half of multi-process handover: where the
-// in-process cluster migrates models between two nodes it owns
-// (cluster.Move), a mesh of independent processes must export a user's
-// complete serving state on the old owner, ship it over the wire, and
-// import it on the new owner. The state is wider than the in-process
-// case: each process has its own receiver edge, so receiver-side
-// individual models migrate too, and the per-user noise sequence rides
-// along so the user's channel-noise stream continues bit-identically.
+// This file is the System-level half of a mesh handover (internal/mesh):
+// the old owner exports a user's complete serving state, the mesh ships
+// it to the new owner, and the new owner imports it. Each member has its
+// own receiver edge, so receiver-side individual models migrate too, and
+// the per-user noise sequence rides along so the user's channel-noise
+// stream continues bit-identically.
 
 // UserExport is one user's migratable serving state.
 type UserExport struct {
@@ -36,9 +34,8 @@ type UserExport struct {
 	Buffers []edge.BufferState
 }
 
-// SenderBytes sums the sender-side migration payload — the figure the
-// in-process cluster reports as MigratedBytes, kept identical here so
-// mesh and cluster handover accounting agree.
+// SenderBytes sums the sender-side migration payload — the figure a
+// handover reports as MigratedBytes.
 func (e *UserExport) SenderBytes() int64 {
 	var total int64
 	for _, m := range e.Sender {
@@ -50,12 +47,9 @@ func (e *UserExport) SenderBytes() int64 {
 // ExportUserForHandover serializes the user's individual models from both
 // edge sides plus their noise sequence, under the user's lock so no
 // transmit is mid-flight while the state is captured. Models evicted
-// between enumeration and export are skipped, exactly like cluster.Move:
-// the user simply re-personalizes on the new node.
+// between enumeration and export are skipped: the user simply
+// re-personalizes on the new node.
 func (s *System) ExportUserForHandover(user string) (*UserExport, error) {
-	if s.Cluster != nil {
-		return nil, errors.New("core: ExportUserForHandover is for single-sender (mesh member) systems; cluster mode hands over internally")
-	}
 	st := s.userState(user)
 	st.mu.Lock()
 	defer st.mu.Unlock()

@@ -21,16 +21,15 @@
 // exact result sequence the fully serialized system would produce; under
 // concurrent traffic per-user state still evolves identically.
 //
-// Channel noise comes in two schemes. The classic single-sender mode
-// draws from one shared RNG in global arrival order, so individual noise
-// realizations depend on the interleaving (historical behavior, pinned
-// by golden digests) and every transmission serializes through one
-// mutex-guarded channel. Cluster mode (Config.Nodes > 1) — and any
-// system with Config.PerUserNoise set — instead derives an independent
+// Channel noise comes in two schemes. The classic mode draws from one
+// shared RNG in global arrival order, so individual noise realizations
+// depend on the interleaving (historical behavior, pinned by golden
+// digests) and every transmission serializes through one mutex-guarded
+// channel. A system with Config.PerUserNoise set — every member of a
+// multi-node deployment (internal/mesh) — instead derives an independent
 // noise stream per (user, message-sequence) pair, making every user's
-// noise independent of interleaving AND of which process serves them: a
-// multi-process mesh whose nodes each run their own System reproduces
-// the single-process cluster's noise bit-for-bit. Because those derived
+// noise independent of interleaving AND of which member serves them, so
+// a user keeps their noise stream across handovers. Because those derived
 // seeds depend on nothing shared, the PerUserNoise channel stage runs
 // lock-free on a pool of per-request channel instances — transmissions
 // cross the physical layer fully in parallel, with outputs bit-identical
@@ -73,38 +72,26 @@ type Config struct {
 	// Codec sets codec hyper-parameters for all general models.
 	Codec semantic.Config
 
-	// Nodes selects cluster mode when > 1: the sender side becomes a
-	// multi-node edge cluster (internal/cluster) routing each user to a
-	// node by consistent hashing, with mobility-driven handover and
-	// cooperative caching between nodes. 0 or 1 keeps the classic
-	// single-sender two-edge deployment.
-	Nodes int
-
 	// PerUserNoise derives an independent channel-noise stream per
 	// (user, message-sequence) pair instead of drawing from one shared
-	// RNG in global arrival order. Forced on in cluster mode (Nodes > 1),
-	// where it is what makes a multi-process mesh bit-identical to the
-	// in-process cluster; off by default in classic mode, whose shared
-	// stream is pinned by golden digests.
+	// RNG in global arrival order. Every mesh member sets it: the stream
+	// then survives a handover to another member, which is what makes
+	// every deployment shape serve a user bit-identically. Off by default,
+	// where the shared stream is pinned by golden digests.
 	PerUserNoise bool
 
-	// SenderName overrides the single-sender edge server's name (default
-	// "edge-sender"). A mesh member running as node i of a multi-process
-	// deployment names its local sender "node-i" so stats and errors read
-	// identically to the in-process cluster.
+	// SenderName overrides the sender edge server's name (default
+	// "edge-sender"). Mesh member i names its sender "node-i".
 	SenderName string
 
-	// SenderFetcher overrides the sender edge's model-miss resolver in
-	// single-sender mode (nil selects the standard origin fetcher). The
-	// multi-process mesh injects its cooperative over-the-wire fetcher
-	// here. Ignored in cluster mode, which wires its own per-node
-	// cooperative fetchers.
+	// SenderFetcher overrides the sender edge's model-miss resolver (nil
+	// selects the standard origin fetcher). A mesh member injects its
+	// cooperative fetcher here, which probes peer caches first.
 	SenderFetcher edge.Fetcher
 
 	// SenderCacheBytes / ReceiverCacheBytes size the edge model caches;
 	// 0 sizes each cache to hold every general model plus eight
-	// individual models. In cluster mode every node's cache gets
-	// SenderCacheBytes.
+	// individual models.
 	SenderCacheBytes   int64
 	ReceiverCacheBytes int64
 	// Policy names the cache eviction policy ("lru", "fifo", "lfu",
@@ -221,13 +208,22 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.Nodes > 1 {
-		cfg.PerUserNoise = true
-	}
 	if cfg.SenderName == "" {
 		cfg.SenderName = "edge-sender"
 	}
 	return cfg
+}
+
+// Pretrain trains the general codecs NewSystem would train for cfg, one
+// per corpus domain. A deployment of several systems trains once and
+// passes the result to each as Config.Pretrained.
+func Pretrain(cfg Config) []*semantic.Codec {
+	cfg = cfg.withDefaults()
+	codecCfg := cfg.Codec
+	if codecCfg.Seed == 0 {
+		codecCfg.Seed = cfg.Seed
+	}
+	return semantic.PretrainAll(corpus.Build(), codecCfg)
 }
 
 // newCode builds a channel code by name.
@@ -260,9 +256,9 @@ func newModulation(name string) (channel.Modulation, error) {
 	}
 }
 
-// System is a running semantic communication deployment: a single sender
-// edge and a receiver edge in the classic two-edge configuration, or N
-// sender nodes behind Cluster in cluster mode.
+// System is a running semantic communication deployment: a sender edge
+// and a receiver edge in the two-edge configuration. A multi-node
+// deployment runs one System per member (see internal/mesh).
 type System struct {
 	cfg Config
 
@@ -271,10 +267,6 @@ type System struct {
 	Sender   *edge.Server
 	Receiver *edge.Server
 	Generals []*semantic.Codec
-
-	// Cluster is the sender-side node cluster in cluster mode (Config
-	//.Nodes > 1), nil otherwise. Sender then aliases node 0's edge.
-	Cluster *cluster.Cluster
 
 	nb         *selection.NaiveBayes
 	selFactory func() selection.Selector
@@ -428,11 +420,7 @@ func NewSystem(cfg Config) (*System, error) {
 			}
 		})
 	} else {
-		codecCfg := cfg.Codec
-		if codecCfg.Seed == 0 {
-			codecCfg.Seed = cfg.Seed
-		}
-		generals = semantic.PretrainAll(corp, codecCfg)
+		generals = Pretrain(cfg)
 	}
 	if tier != semantic.TierF64 {
 		// Serving tier on the trained generals; individual models inherit
@@ -477,29 +465,9 @@ func NewSystem(cfg Config) (*System, error) {
 			Fetcher:         fetcher,
 		}, cloud)
 	}
-	var sender *edge.Server
-	var nodeCluster *cluster.Cluster
-	if cfg.Nodes > 1 {
-		nodeCluster, err = cluster.New(cluster.Config{
-			Nodes:           cfg.Nodes,
-			CacheBytes:      cfg.SenderCacheBytes,
-			Policy:          cfg.Policy,
-			Uplink:          cfg.CloudLink,
-			Mesh:            cfg.EdgeLink,
-			ComputePerToken: cfg.ComputePerToken,
-			PinGeneral:      cfg.PinGeneral,
-			BufferThreshold: cfg.BufferThreshold,
-			Seed:            cfg.Seed,
-		}, cloud)
-		if err != nil {
-			return nil, err
-		}
-		sender = nodeCluster.Node(0).Edge()
-	} else {
-		sender, err = mkEdge(cfg.SenderName, cfg.SenderCacheBytes, cfg.SenderFetcher)
-		if err != nil {
-			return nil, err
-		}
+	sender, err := mkEdge(cfg.SenderName, cfg.SenderCacheBytes, cfg.SenderFetcher)
+	if err != nil {
+		return nil, err
 	}
 	receiver, err := mkEdge("edge-receiver", cfg.ReceiverCacheBytes, nil)
 	if err != nil {
@@ -535,7 +503,6 @@ func NewSystem(cfg Config) (*System, error) {
 		Sender:       sender,
 		Receiver:     receiver,
 		Generals:     generals,
-		Cluster:      nodeCluster,
 		link:         link,
 		symbolRateHz: cfg.SymbolRateHz,
 		edgeLink:     cfg.EdgeLink,
@@ -678,28 +645,6 @@ func (s *System) sendOverChannel(seed uint64, dst, src []float64) channel.LinkSt
 	return stats
 }
 
-// senderFor returns the sender edge serving user: the routed cluster node
-// in cluster mode, the single sender otherwise.
-func (s *System) senderFor(user string) *edge.Server {
-	if s.Cluster != nil {
-		return s.Cluster.Route(user).Edge()
-	}
-	return s.Sender
-}
-
-// MoveUser attaches user to cell (cluster mode only), executing a
-// handover when the serving node changes. It serializes against the
-// user's own transmissions, so a model never migrates mid-transmit.
-func (s *System) MoveUser(user string, cell int) (cluster.HandoverResult, error) {
-	if s.Cluster == nil {
-		return cluster.HandoverResult{}, errors.New("core: MoveUser requires cluster mode (Config.Nodes > 1)")
-	}
-	st := s.userState(user)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return s.Cluster.Move(user, cell)
-}
-
 // Transmit runs one message through the full pipeline. Transmissions for
 // different users run concurrently; same-user calls serialize.
 func (s *System) Transmit(req trace.Request) (*Result, error) {
@@ -765,7 +710,7 @@ func (s *System) transmitSelected(sc *mat.Scratch, st *userState, user string, w
 		return s.transmitBatched(sc, st, user, words, selected, sel)
 	}
 	domain := s.Corpus.Domains[selected].Name
-	sender := s.senderFor(user)
+	sender := s.Sender
 
 	// Step 2: sender-side semantic encoding (one batched GEMM).
 	enc, err := sender.Encode(sc, domain, user, words)
@@ -846,11 +791,11 @@ func (s *System) scoreResult(res *Result, decoded []int) {
 	}
 }
 
-// ProcessUpdate runs the update process for (domain, user) on the user's
-// serving edge and ships the decoder update across the edge link,
-// returning the payload size.
+// ProcessUpdate runs the update process for (domain, user) on the sender
+// edge and ships the decoder update across the edge link, returning the
+// payload size.
 func (s *System) ProcessUpdate(domain, user string) (int, error) {
-	upd, err := s.senderFor(user).RunUpdate(domain, user, fl.UpdateConfig{
+	upd, err := s.Sender.RunUpdate(domain, user, fl.UpdateConfig{
 		Epochs:   s.cfg.UpdateEpochs,
 		Compress: s.cfg.Compress,
 		Seed:     s.cfg.Seed ^ 0xfade,
@@ -882,26 +827,12 @@ func (s *System) SyncLatency() time.Duration { return time.Duration(s.syncLatenc
 // mesh's origin fallback) must charge to match in-process accounting.
 func (s *System) CloudLink() netsim.Link { return s.cfg.CloudLink }
 
-// MeshLink returns the (defaulted) edge-to-edge link — what the
-// in-process cluster charges for neighbor transfers, and what a
-// multi-process mesh must charge for parity.
-func (s *System) MeshLink() netsim.Link { return s.cfg.EdgeLink }
-
 // RunWorkload transmits every request in w, returning per-message
-// results. In cluster mode the workload's mobility events apply in
-// sequence order: each Move relocates its user (triggering a handover)
-// before the request at the same Seq is served.
+// results. Mobility events do not apply to one System; a multi-node
+// deployment (internal/mesh) applies them between transmits.
 func (s *System) RunWorkload(w *trace.Workload) ([]Result, error) {
 	out := make([]Result, 0, len(w.Requests))
-	next := 0 // next unapplied mobility event
 	for _, req := range w.Requests {
-		for s.Cluster != nil && next < len(w.Moves) && w.Moves[next].Seq <= req.Seq {
-			mv := w.Moves[next]
-			if _, err := s.MoveUser(mv.User, mv.Cell); err != nil {
-				return out, fmt.Errorf("core: move %d (%s -> cell %d): %w", mv.Seq, mv.User, mv.Cell, err)
-			}
-			next++
-		}
 		res, err := s.Transmit(req)
 		if err != nil {
 			return out, fmt.Errorf("core: request %d: %w", req.Seq, err)

@@ -98,8 +98,7 @@ func TestPerUserNoiseInterleavingInvariance(t *testing.T) {
 // The second half must be bit-identical to an uninterrupted reference run
 // — the exported noise sequence and individual models make the new owner
 // continue exactly where the old one stopped. The split lands on a
-// buffer-threshold boundary because transaction buffers are deliberately
-// node-local (exactly like the in-process cluster's handover).
+// buffer-threshold boundary, so no transaction is pending across it.
 func TestPerUserNoiseHandoverContinuity(t *testing.T) {
 	cfg := userNoiseConfig() // BufferThreshold 8 via batchTestConfig
 	mkSys := func(name string) *System {

@@ -13,28 +13,62 @@ import (
 	"repro/internal/rpc"
 )
 
-// clusterConfig is soakConfig plus three sender nodes.
-func clusterConfig(t *testing.T) core.Config {
-	cfg := soakConfig(t)
-	cfg.Nodes = 3
-	return cfg
-}
-
-// startClusterServer boots an in-process cluster-mode daemon with node 0
-// warmed, exactly as `edged -nodes 3` starts.
-func startClusterServer(t *testing.T) (string, func()) {
+// startClusterDaemon boots `edged -nodes 3` on a loopback port and
+// returns its address; the daemon stops when the test ends.
+func startClusterDaemon(t *testing.T) string {
 	t.Helper()
-	sys, err := core.NewSystem(clusterConfig(t))
+	cfg := meshBaseConfig(t)
+	cfg.Addr = "127.0.0.1:0"
+	cfg.Nodes = 3
+	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Sender.Prefetch(sys.Corpus.Names()); err != nil {
+	if err := d.Listen(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Receiver.Prefetch(sys.Corpus.Names()); err != nil {
+	done := make(chan error, 1)
+	go func() { done <- d.Serve() }()
+	t.Cleanup(func() {
+		d.Close()
+		if err := <-done; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	})
+	return d.Addr()
+}
+
+// ops is the request surface a digest workload drives: one daemon over
+// one connection, or a client-routed mesh.
+type ops struct {
+	transmit func(user, text string) *rpc.Response
+	move     func(user string, cell int) *rpc.Response
+}
+
+// daemonOps drives one daemon over one connection.
+func daemonOps(t *testing.T, addr string) ops {
+	t.Helper()
+	cl, err := rpc.Dial(addr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return startServer(t, newServer(sys, 0))
+	t.Cleanup(func() { cl.Close() })
+	return ops{
+		transmit: func(user, text string) *rpc.Response {
+			resp, err := cl.Transmit(user, text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resp
+		},
+		move: func(user string, cell int) *rpc.Response {
+			resp, err := cl.Move(user, cell)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resp
+		},
+	}
 }
 
 // fold mirrors cmd/semload's digest folding.
@@ -47,16 +81,11 @@ func fold(digest *uint64, parts ...string) {
 	*digest ^= h.Sum64() + 0x9e3779b97f4a7c15 + (*digest << 6) + (*digest >> 2)
 }
 
-// mobilityRun drives the semload -mobility scenario over one connection:
-// a serial seeded stream of moves and transmits. It returns the run
-// digest plus the observed handover count.
-func mobilityRun(t *testing.T, addr string, users, requests, cells int, moveRate float64, seed uint64) (uint64, int) {
+// mobilityRun drives the semload -mobility scenario: a serial seeded
+// stream of moves and transmits. It returns the run digest plus the
+// observed handover count.
+func mobilityRun(t *testing.T, o ops, users, requests, cells int, moveRate float64, seed uint64) (uint64, int) {
 	t.Helper()
-	cl, err := rpc.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
 	corp := corpus.Build()
 	root := mat.NewRNG(seed)
 	sched := root.Split()
@@ -71,10 +100,7 @@ func mobilityRun(t *testing.T, addr string, users, requests, cells int, moveRate
 		user := fmt.Sprintf("u%03d", u)
 		if sched.Float64() < moveRate {
 			cell := sched.Intn(cells)
-			resp, err := cl.Move(user, cell)
-			if err != nil {
-				t.Fatal(err)
-			}
+			resp := o.move(user, cell)
 			if !resp.OK || resp.Handover == nil {
 				t.Fatalf("move failed: %+v", resp)
 			}
@@ -90,10 +116,7 @@ func mobilityRun(t *testing.T, addr string, users, requests, cells int, moveRate
 		// update process fires, individual models form, and handovers have
 		// real payloads to migrate.
 		msg := gens[u].Message(u%len(corp.Domains), nil)
-		resp, err := cl.Transmit(user, msg.Text())
-		if err != nil {
-			t.Fatal(err)
-		}
+		resp := o.transmit(user, msg.Text())
 		if !resp.OK {
 			t.Fatalf("transmit %d failed: %q", i, resp.Error)
 		}
@@ -131,9 +154,8 @@ func TestClusterMobilityDeterministicRun(t *testing.T) {
 		seed                   = 4242
 	)
 	run := func() (uint64, int, *rpc.Stats) {
-		addr, shutdown := startClusterServer(t)
-		defer shutdown()
-		digest, handovers := mobilityRun(t, addr, users, requests, cells, moveRate, seed)
+		addr := startClusterDaemon(t)
+		digest, handovers := mobilityRun(t, daemonOps(t, addr), users, requests, cells, moveRate, seed)
 		return digest, handovers, clusterStats(t, addr)
 	}
 	d1, h1, st1 := run()
@@ -169,8 +191,7 @@ func TestClusterMobilityDeterministicRun(t *testing.T) {
 // entries present, aggregate hit rate populated, and OpMove rejected by a
 // single-sender daemon.
 func TestClusterStatsShape(t *testing.T) {
-	addr, shutdown := startClusterServer(t)
-	defer shutdown()
+	addr := startClusterDaemon(t)
 	// One transmit so counters move.
 	cl, err := rpc.Dial(addr)
 	if err != nil {

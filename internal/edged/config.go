@@ -6,12 +6,13 @@
 //
 // A daemon serves one of three deployments:
 //
-//   - classic: one single-sender two-edge system (the default);
-//   - in-process cluster (-nodes N): the sender side is an N-node
-//     cluster inside one process;
+//   - classic: one two-edge system (the default);
+//   - in-process cluster (-nodes N): N mesh members inside one process,
+//     cooperating over in-memory pipes;
 //   - mesh (-peers ... -mesh-index i): this process is member i of a
-//     multi-process cluster; peers cooperate over the v2 wire protocol
-//     (see internal/mesh).
+//     multi-process cluster, cooperating over TCP.
+//
+// Both cluster shapes run the one implementation in internal/mesh.
 package edged
 
 import (
@@ -58,7 +59,8 @@ type Config struct {
 	Seed uint64
 	// KBDir loads pretrained .kbm models instead of pretraining at boot.
 	KBDir string
-	// Nodes selects in-process cluster mode when > 1.
+	// Nodes selects in-process cluster mode when > 1: that many mesh
+	// members in this process.
 	Nodes int
 	// PprofAddr exposes net/http/pprof when non-empty.
 	PprofAddr string
@@ -116,7 +118,7 @@ func FromFlags(fs *flag.FlagSet) *Config {
 	fs.Float64Var(&cfg.SNRdB, "snr", 12, "channel SNR in dB")
 	fs.Uint64Var(&cfg.Seed, "seed", 1, "deterministic seed")
 	fs.StringVar(&cfg.KBDir, "kb", "", "directory of pretrained .kbm models (see cmd/semkb); empty pretrains at startup")
-	fs.IntVar(&cfg.Nodes, "nodes", 0, "in-process cluster mode: number of sender edge nodes (0/1 = classic single sender)")
+	fs.IntVar(&cfg.Nodes, "nodes", 0, "in-process cluster mode: number of mesh members in this process (0/1 = classic single sender)")
 	fs.StringVar(&cfg.PprofAddr, "pprof", "", "expose net/http/pprof on this address (e.g. localhost:6060); empty disables")
 	fs.BoolVar(&cfg.ProfileContention, "profile-contention", false, "also record mutex and block profiles on the -pprof endpoint (has overhead; requires -pprof)")
 	fs.IntVar(&cfg.Workers, "workers", 0, "parallel workers for pretraining and codec kernels (0 = GOMAXPROCS)")

@@ -49,19 +49,22 @@ func loadKB(dir string) ([]*semantic.Codec, error) {
 // Daemon is one booted edged instance: the serving system, the optional
 // mesh membership, and the request server, ready to Listen and Serve.
 type Daemon struct {
-	Cfg  Config
+	Cfg Config
+	// Sys is the serving system; with -nodes, member 0's.
 	Sys  *core.System
-	Mesh *mesh.Node // nil outside mesh mode
+	Mesh *mesh.Node // nil outside -peers mode
 
+	local    *mesh.Local // nil outside -nodes mode
 	srv      *server
 	ln       net.Listener
 	draining atomic.Bool
 }
 
 // New validates cfg and boots the daemon: models pretrained or loaded,
-// system built, caches warmed (in mesh mode only member 0 warms its
-// sender — peers fill cooperatively, which is the behavior the mesh
-// exists to show), mesh membership constructed. It does not listen yet.
+// system (or, with -nodes, every member) built, caches warmed (in a
+// cluster only member 0 warms its sender — the others fill cooperatively,
+// which is the behavior the cluster exists to show), mesh membership
+// constructed. It does not listen yet.
 func New(cfg Config) (*Daemon, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -95,7 +98,6 @@ func New(cfg Config) (*Daemon, error) {
 		SNRdB:           cfg.SNRdB,
 		PinGeneral:      true,
 		Seed:            cfg.Seed,
-		Nodes:           cfg.Nodes,
 		BatchWindow:     cfg.BatchWindow,
 		BatchMaxTokens:  cfg.BatchMaxTokens,
 		BufferThreshold: cfg.BufferThreshold,
@@ -118,10 +120,10 @@ func New(cfg Config) (*Daemon, error) {
 		if err != nil {
 			return nil, err
 		}
-		// A mesh member is a single-sender system named after its ring
-		// slot, with the mesh as its miss resolver and per-user noise on
-		// — the combination that makes the multi-process deployment
-		// bit-identical to the in-process cluster.
+		// A mesh member is a system named after its ring slot, with the
+		// mesh as its miss resolver and per-user noise on — the
+		// combination that makes every deployment shape serve a user
+		// bit-identically.
 		coreCfg.SenderName = self.Name
 		coreCfg.SenderFetcher = node
 		coreCfg.PerUserNoise = true
@@ -137,6 +139,26 @@ func New(cfg Config) (*Daemon, error) {
 	} else {
 		log.Printf("edged: pretraining general models (selector=%s, snr=%.1f dB)...", cfg.Selector, cfg.SNRdB)
 	}
+	var srv *server
+	var err error
+	if cfg.Nodes > 1 {
+		srv, err = newLocalServer(cfg, coreCfg)
+	} else {
+		srv, err = newMemberServer(cfg, coreCfg, node)
+	}
+	if err != nil {
+		return nil, err
+	}
+	log.Printf("edged: ready in %v (domains: %v)", time.Since(start).Round(time.Millisecond), srv.members[0].sys.Corpus.Names())
+	srv.idleTimeout = cfg.IdleTimeout
+	srv.writeTimeout = cfg.WriteTimeout
+	srv.shedAfter = cfg.ShedAfter
+	return &Daemon{Cfg: cfg, Sys: srv.members[0].sys, Mesh: node, local: srv.local, srv: srv}, nil
+}
+
+// newMemberServer boots a single system: the classic daemon, or member
+// node of a -peers mesh.
+func newMemberServer(cfg Config, coreCfg core.Config, node *mesh.Node) (*server, error) {
 	sys, err := core.NewSystem(coreCfg)
 	if err != nil {
 		return nil, err
@@ -147,10 +169,8 @@ func New(cfg Config) (*Daemon, error) {
 		// last copy of a general model.
 		sys.Sender.Cache().SetEvictionGuard(node.EvictionGuard)
 	}
-	// In cluster mode only node 0 (= sys.Sender) is warmed; likewise a
-	// mesh warms only member 0's sender. The other nodes pull models
-	// cooperatively from their neighbors on first miss, which is exactly
-	// the behavior the cluster exists to show.
+	// A mesh warms only member 0's sender; the other members pull models
+	// cooperatively from their neighbors on first miss.
 	if node == nil || node.Self().Index == 0 {
 		if _, err := sys.Sender.Prefetch(sys.Corpus.Names()); err != nil {
 			return nil, err
@@ -159,20 +179,35 @@ func New(cfg Config) (*Daemon, error) {
 	if _, err := sys.Receiver.Prefetch(sys.Corpus.Names()); err != nil {
 		return nil, err
 	}
-	if sys.Cluster != nil {
-		log.Printf("edged: cluster mode, %d nodes (node-0 warm, peers cold)", sys.Cluster.NumNodes())
-	}
 	if node != nil {
 		log.Printf("edged: mesh mode, member %s (%d/%d)", node.Self().Name, node.Self().Index, node.Total())
 	}
-	log.Printf("edged: ready in %v (domains: %v)", time.Since(start).Round(time.Millisecond), sys.Corpus.Names())
-
 	srv := newServer(sys, cfg.MaxInflight)
+	srv.members[0].node = node
 	srv.mesh = node
-	srv.idleTimeout = cfg.IdleTimeout
-	srv.writeTimeout = cfg.WriteTimeout
-	srv.shedAfter = cfg.ShedAfter
-	return &Daemon{Cfg: cfg, Sys: sys, Mesh: node, srv: srv}, nil
+	return srv, nil
+}
+
+// newLocalServer boots `edged -nodes N`: N members in this process over
+// the in-memory mesh transport, warmed as a mesh is, with each request
+// routed to the user's member.
+func newLocalServer(cfg Config, coreCfg core.Config) (*server, error) {
+	local, err := mesh.NewLocal(cfg.Nodes, coreCfg, mesh.Config{RingSeed: cfg.Seed, Logf: log.Printf})
+	if err != nil {
+		return nil, err
+	}
+	if err := local.Warm(); err != nil {
+		local.Close()
+		return nil, err
+	}
+	srv := newServer(local.Members()[0].Sys, cfg.MaxInflight)
+	srv.members = srv.members[:0]
+	for _, m := range local.Members() {
+		srv.members = append(srv.members, &member{sys: m.Sys, node: m.Node})
+	}
+	srv.local = local
+	log.Printf("edged: cluster mode, %d in-process members (node-0 warm, peers cold)", cfg.Nodes)
+	return srv, nil
 }
 
 // Listen binds the daemon's TCP listener.
@@ -217,6 +252,9 @@ func (d *Daemon) Serve() error {
 	err := d.srv.serve(d.ln)
 	if d.Mesh != nil {
 		d.Mesh.Stop()
+	}
+	if d.local != nil {
+		d.local.Close()
 	}
 	return err
 }

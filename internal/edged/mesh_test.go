@@ -320,12 +320,42 @@ func (r *meshRouter) mergedStats() (*rpc.Stats, error) {
 	return merged, nil
 }
 
-// TestMeshMatchesInProcessCluster is the tentpole acceptance criterion:
-// a mobility-free serial workload against a 3-process mesh produces the
-// same run digest as the identical workload against one `edged -nodes 3`
-// in-process cluster daemon — bit-identity across the process boundary,
-// noise realizations included. The cooperative-fetch accounting must
-// agree too.
+// ops adapts the router to the digest workloads: requests that fail on a
+// member believed alive fail the test.
+func (r *meshRouter) ops() ops {
+	return ops{
+		transmit: func(user, text string) *rpc.Response {
+			resp, _, err := r.transmit(user, text)
+			if err != nil {
+				r.t.Fatal(err)
+			}
+			return resp
+		},
+		move: func(user string, cell int) *rpc.Response {
+			resp, err := r.move(user, cell)
+			if err != nil {
+				r.t.Fatal(err)
+			}
+			return resp
+		},
+	}
+}
+
+// The mobility-free run of TestMeshMatchesInProcessCluster: run digest,
+// cooperative-fetch and cache counts, recorded from `edged -nodes 3`
+// before it ran on internal/mesh. Moving the in-process cluster onto the
+// mesh must not move them.
+const (
+	clusterRunDigest   = 0x072d7694e87bcb49
+	clusterRunNeighbor = 3 // neighbor hits, and as many probes served
+	clusterRunCached   = 17
+)
+
+// TestMeshMatchesInProcessCluster is the cross-transport acceptance
+// check: a mobility-free serial workload against `edged -nodes 3` (pipe
+// transport) and against a 3-process mesh (TCP) both produce the pinned
+// run digest — bit-identity across the process boundary, noise
+// realizations included — with the pinned cooperative-fetch accounting.
 func TestMeshMatchesInProcessCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mesh acceptance run in -short mode")
@@ -333,7 +363,7 @@ func TestMeshMatchesInProcessCluster(t *testing.T) {
 	const users, requests = 6, 180
 	corp := corpus.Build()
 
-	workload := func(transmit func(user, text string) *rpc.Response) uint64 {
+	workload := func(o ops) uint64 {
 		root := mat.NewRNG(4242)
 		sched := root.Split()
 		gens := make([]*corpus.Generator, users)
@@ -344,7 +374,7 @@ func TestMeshMatchesInProcessCluster(t *testing.T) {
 		for i := 0; i < requests; i++ {
 			u := sched.Intn(users)
 			user := fmt.Sprintf("u%03d", u)
-			resp := transmit(user, gens[u].Message(u%len(corp.Domains), nil).Text())
+			resp := o.transmit(user, gens[u].Message(u%len(corp.Domains), nil).Text())
 			if !resp.OK {
 				t.Fatalf("request %d failed: %q", i, resp.Error)
 			}
@@ -355,84 +385,79 @@ func TestMeshMatchesInProcessCluster(t *testing.T) {
 		}
 		return digest
 	}
-
-	// Reference: one in-process cluster daemon, exactly `edged -nodes 3`.
-	refCfg := meshBaseConfig(t)
-	refCfg.Addr = "127.0.0.1:0"
-	refCfg.Nodes = 3
-	ref, err := New(refCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Listen(); err != nil {
-		t.Fatal(err)
-	}
-	refDone := make(chan error, 1)
-	go func() { refDone <- ref.Serve() }()
-	defer func() {
-		ref.Close()
-		if err := <-refDone; err != nil {
-			t.Errorf("reference serve: %v", err)
+	check := func(name string, digest uint64, st *rpc.Stats) {
+		t.Helper()
+		if digest != clusterRunDigest {
+			t.Errorf("%s: run digest %016x, want %016x", name, digest, uint64(clusterRunDigest))
 		}
-	}()
-	refCl, err := rpc.Dial(ref.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer refCl.Close()
-	refDigest := workload(func(user, text string) *rpc.Response {
-		resp, err := refCl.Transmit(user, text)
-		if err != nil {
-			t.Fatal(err)
+		var hits, served int64
+		for _, n := range st.Nodes {
+			hits += n.NeighborHits
+			served += n.NeighborServed
 		}
-		return resp
-	})
-	refStats, err := refCl.Stats()
-	if err != nil {
-		t.Fatal(err)
+		if st.Messages != requests || len(st.Nodes) != 3 {
+			t.Errorf("%s: %d messages over %d nodes, want %d over 3", name, st.Messages, len(st.Nodes), requests)
+		}
+		if hits != clusterRunNeighbor || served != clusterRunNeighbor {
+			t.Errorf("%s: neighbor hits/served %d/%d, want %d/%d", name, hits, served, clusterRunNeighbor, clusterRunNeighbor)
+		}
+		if st.CachedModels != clusterRunCached {
+			t.Errorf("%s: cached models %d, want %d", name, st.CachedModels, clusterRunCached)
+		}
+		if st.Handovers != 0 {
+			t.Errorf("%s: mobility-free run reported %d handovers", name, st.Handovers)
+		}
 	}
 
-	// Candidate: three cooperating processes-in-miniature.
-	m := bootMesh(t, 3)
-	router := newMeshRouter(t, m, 11)
-	meshDigest := workload(func(user, text string) *rpc.Response {
-		resp, _, err := router.transmit(user, text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	})
+	addr := startClusterDaemon(t)
+	check("edged -nodes 3", workload(daemonOps(t, addr)), clusterStats(t, addr))
+
+	router := newMeshRouter(t, bootMesh(t, 3), 11)
+	digest := workload(router.ops())
+	st, err := router.mergedStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("3-process mesh", digest, st)
+}
+
+// TestMeshMobilityMatchesInProcessCluster runs the semload -mobility
+// scenario against `edged -nodes 3` and against a 3-process mesh: with
+// users moving, both transports must produce one run digest and one
+// handover accounting, so a move carries the same state — individual
+// models, belief, pending buffers, noise sequence — over a pipe as over
+// TCP.
+func TestMeshMobilityMatchesInProcessCluster(t *testing.T) {
+	if testing.Short() {
+		t.Skip("mesh acceptance run in -short mode")
+	}
+	const (
+		users, requests, cells = 6, 200, 3
+		moveRate               = 0.15
+		seed                   = 4242
+	)
+	addr := startClusterDaemon(t)
+	localDigest, localMoves := mobilityRun(t, daemonOps(t, addr), users, requests, cells, moveRate, seed)
+	localStats := clusterStats(t, addr)
+
+	router := newMeshRouter(t, bootMesh(t, 3), 11)
+	meshDigest, meshMoves := mobilityRun(t, router.ops(), users, requests, cells, moveRate, seed)
 	meshStats, err := router.mergedStats()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if meshDigest != refDigest {
-		t.Fatalf("mesh run diverged from in-process cluster: %016x != %016x", meshDigest, refDigest)
+	if localMoves == 0 {
+		t.Fatal("mobility run produced no handovers")
 	}
-	if meshStats.Messages != refStats.Messages {
-		t.Fatalf("messages: mesh %d, cluster %d", meshStats.Messages, refStats.Messages)
+	if meshDigest != localDigest {
+		t.Fatalf("mesh run diverged from edged -nodes 3 under mobility: %016x != %016x", meshDigest, localDigest)
 	}
-	sumNeighbor := func(st *rpc.Stats) (hits, served int64) {
-		for _, n := range st.Nodes {
-			hits += n.NeighborHits
-			served += n.NeighborServed
-		}
-		return
-	}
-	mh, ms := sumNeighbor(meshStats)
-	rh, rs := sumNeighbor(refStats)
-	if mh == 0 {
-		t.Fatal("mesh run resolved no misses cooperatively")
-	}
-	if mh != rh || ms != rs {
-		t.Fatalf("cooperative-fetch accounting diverged: mesh %d/%d, cluster %d/%d", mh, ms, rh, rs)
-	}
-	if meshStats.Handovers != 0 || refStats.Handovers != 0 {
-		t.Fatalf("mobility-free run reported handovers: mesh %d, cluster %d", meshStats.Handovers, refStats.Handovers)
-	}
-	if meshStats.CachedModels != refStats.CachedModels {
-		t.Fatalf("cached models: mesh %d, cluster %d", meshStats.CachedModels, refStats.CachedModels)
+	if meshMoves != localMoves || meshStats.Handovers != localStats.Handovers ||
+		meshStats.MigratedBytes != localStats.MigratedBytes || meshStats.SyncCount != localStats.SyncCount {
+		t.Fatalf("handover accounting diverged: mesh %d/%d/%d/%d, edged -nodes 3 %d/%d/%d/%d",
+			meshMoves, meshStats.Handovers, meshStats.MigratedBytes, meshStats.SyncCount,
+			localMoves, localStats.Handovers, localStats.MigratedBytes, localStats.SyncCount)
 	}
 }
 

@@ -19,13 +19,19 @@ import (
 	"repro/internal/text"
 )
 
-// server dispatches requests straight into the concurrent core.System; no
-// global serialization. A bounded gate caps concurrently served transmits
-// so load spikes queue at the door instead of oversubscribing the host.
+// server dispatches requests straight into the concurrent core.System of
+// the user's serving member; no global serialization. A bounded gate caps
+// concurrently served transmits so load spikes queue at the door instead
+// of oversubscribing the host.
 type server struct {
-	sys       *core.System
-	mesh      *mesh.Node // nil outside mesh mode
-	messages  atomic.Int64
+	// members holds one member in classic and -peers mode, N with -nodes.
+	members []*member
+	// local routes users to members and moves them with -nodes; nil
+	// otherwise.
+	local *mesh.Local
+	// mesh answers peers' mesh ops with -peers; nil otherwise.
+	mesh *mesh.Node
+
 	inflight  atomic.Int64
 	shed      atomic.Int64
 	gate      chan struct{} // nil = unlimited
@@ -51,6 +57,14 @@ type server struct {
 	drainGate chan struct{}
 }
 
+// member is one serving slice of the daemon: a system and, in a cluster,
+// its mesh membership.
+type member struct {
+	sys      *core.System
+	node     *mesh.Node // nil for a classic single-sender daemon
+	messages atomic.Int64
+}
+
 // newServer wraps sys. maxInflight 0 selects 2x GOMAXPROCS; negative
 // disables the gate.
 func newServer(sys *core.System, maxInflight int) *server {
@@ -58,7 +72,7 @@ func newServer(sys *core.System, maxInflight int) *server {
 		maxInflight = 2 * runtime.GOMAXPROCS(0)
 	}
 	s := &server{
-		sys:       sys,
+		members:   []*member{{sys: sys}},
 		latency:   metrics.NewLatencyHistogram(),
 		queueWait: metrics.NewLatencyHistogram(),
 		conns:     make(map[net.Conn]bool),
@@ -280,145 +294,100 @@ func (s *server) dispatch(req *rpc.Request) *rpc.Response {
 	case rpc.OpMove:
 		return s.move(req)
 	case rpc.OpJoin, rpc.OpLeave, rpc.OpPeerStats, rpc.OpFetchModel, rpc.OpHandoverPush:
-		return s.meshOp(req)
+		// The v2 mesh surface; a daemon that is not a -peers member
+		// rejects every mesh op.
+		if s.mesh == nil {
+			return &rpc.Response{Error: fmt.Sprintf("%s: not a mesh member", req.Op)}
+		}
+		return s.mesh.HandleOp(req)
 	default:
 		return &rpc.Response{Error: fmt.Sprintf("unknown op %q", req.Op)}
 	}
 }
 
-// meshOp serves the v2 mesh surface; a daemon that is not a mesh member
-// rejects every mesh op.
-func (s *server) meshOp(req *rpc.Request) *rpc.Response {
-	if s.mesh == nil {
-		return &rpc.Response{Error: fmt.Sprintf("%s: not a mesh member", req.Op)}
+// stats snapshots the daemon counters: each member reports itself as one
+// node of the deployment, and the member snapshots merge with
+// rpc.Stats.Merge exactly as a client merges the members of a
+// multi-process mesh.
+func (s *server) stats() *rpc.Stats {
+	st := s.members[0].stats()
+	for _, m := range s.members[1:] {
+		st.Merge(m.stats())
 	}
-	switch req.Op {
-	case rpc.OpJoin:
-		if req.Peer == nil {
-			return &rpc.Response{Error: "join requires peer info"}
-		}
-		return &rpc.Response{OK: true, Peers: s.mesh.HandleJoin(*req.Peer)}
-	case rpc.OpLeave:
-		if req.Peer == nil {
-			return &rpc.Response{Error: "leave requires peer info"}
-		}
-		s.mesh.HandleLeave(*req.Peer)
-		return &rpc.Response{OK: true}
-	case rpc.OpPeerStats:
-		ns := s.mesh.Stats()
-		return &rpc.Response{OK: true, Node: &ns}
-	case rpc.OpFetchModel:
-		if req.Fetch == nil {
-			return &rpc.Response{Error: "fetch-model requires a model key"}
-		}
-		payload, err := s.mesh.HandleFetch(*req.Fetch)
-		if err != nil {
-			return &rpc.Response{Error: err.Error()}
-		}
-		// A nil Model is a clean miss: the prober moves on.
-		return &rpc.Response{OK: true, Model: payload}
-	case rpc.OpHandoverPush:
-		if req.Handoff == nil {
-			return &rpc.Response{Error: "handover-push requires a payload"}
-		}
-		if err := s.mesh.HandleHandoverPush(req.Handoff); err != nil {
-			return &rpc.Response{Error: err.Error()}
-		}
-		return &rpc.Response{OK: true}
-	default:
-		return &rpc.Response{Error: fmt.Sprintf("unknown mesh op %q", req.Op)}
-	}
+	st.Serve.InFlight = int(s.inflight.Load())
+	st.Serve.LatencyP50Ms = s.latency.P(50)
+	st.Serve.LatencyP95Ms = s.latency.P(95)
+	st.Serve.LatencyP99Ms = s.latency.P(99)
+	st.Serve.QueueWaitP50Ms = s.queueWait.P(50)
+	st.Serve.QueueWaitP95Ms = s.queueWait.P(95)
+	st.Serve.QueueWaitP99Ms = s.queueWait.P(99)
+	st.Serve.Shed = s.shed.Load()
+	return st
 }
 
-// stats snapshots the daemon counters; in cluster mode the sender-side
-// numbers aggregate every node and per-node detail rides along, and a
-// mesh member reports itself as the single node of its slice of the
-// deployment (clients merge slices with rpc.Stats.Merge).
-func (s *server) stats() *rpc.Stats {
-	serve := &rpc.ServeStats{
-		InFlight:       int(s.inflight.Load()),
-		LatencyP50Ms:   s.latency.P(50),
-		LatencyP95Ms:   s.latency.P(95),
-		LatencyP99Ms:   s.latency.P(99),
-		QueueWaitP50Ms: s.queueWait.P(50),
-		QueueWaitP95Ms: s.queueWait.P(95),
-		QueueWaitP99Ms: s.queueWait.P(99),
-		Shed:           s.shed.Load(),
-	}
-	bs := s.sys.BatchStats()
-	serve.Batches = bs.Batches
-	serve.BatchedRequests = bs.BatchedRequests
-	serve.BatchOccupancy = bs.Occupancy
+// stats snapshots one member's counters; Serve carries only its batch
+// counters, which the server's merge sums.
+func (m *member) stats() *rpc.Stats {
+	bs := m.sys.BatchStats()
 	st := &rpc.Stats{
-		Messages:  int(s.messages.Load()),
-		SyncBytes: s.sys.SyncBytes(),
-		SyncCount: s.sys.SyncCount(),
-		Serve:     serve,
+		Messages:  int(m.messages.Load()),
+		SyncBytes: m.sys.SyncBytes(),
+		SyncCount: m.sys.SyncCount(),
+		Serve: &rpc.ServeStats{
+			Batches:         bs.Batches,
+			BatchedRequests: bs.BatchedRequests,
+			BatchOccupancy:  bs.Occupancy,
+		},
 	}
-	if s.mesh != nil {
-		ns := s.mesh.Stats()
-		st.SenderHitRate = ns.HitRate
-		st.CachedModels = ns.CachedModels
-		st.CacheUsedBytes = ns.CacheUsedBytes
-		st.Handovers, st.MigratedBytes = s.mesh.HandoverStats()
-		st.Nodes = []rpc.NodeStats{ns}
+	if m.node == nil {
+		st.SenderHitRate = m.sys.Sender.CacheStats().HitRate()
+		st.CachedModels = m.sys.Sender.Cache().Len()
+		st.CacheUsedBytes = m.sys.Sender.Cache().Used()
 		return st
 	}
-	if s.sys.Cluster == nil {
-		cs := s.sys.Sender.CacheStats()
-		st.SenderHitRate = cs.HitRate()
-		st.CachedModels = s.sys.Sender.Cache().Len()
-		st.CacheUsedBytes = s.sys.Sender.Cache().Used()
-		return st
-	}
-	cl := s.sys.Cluster.Stats()
-	st.Handovers = cl.Handovers
-	st.MigratedBytes = cl.MigratedBytes
-	var hits, misses uint64
-	st.Nodes = make([]rpc.NodeStats, len(cl.Nodes))
-	for i, n := range cl.Nodes {
-		hits += n.Cache.Hits
-		misses += n.Cache.Misses
-		st.CachedModels += n.CachedModels
-		st.CacheUsedBytes += n.CacheUsedBytes
-		st.Nodes[i] = n.RPC()
-	}
-	if total := hits + misses; total > 0 {
-		st.SenderHitRate = float64(hits) / float64(total)
-	}
+	ns := m.node.Stats()
+	st.SenderHitRate = ns.HitRate
+	st.CachedModels = ns.CachedModels
+	st.CacheUsedBytes = ns.CacheUsedBytes
+	st.Handovers, st.MigratedBytes = m.node.HandoverStats()
+	st.Nodes = []rpc.NodeStats{ns}
 	return st
 }
 
 // move serves one OpMove: attach the user to a cell, handing their
-// individual models over when the serving node changes — across
-// processes in mesh mode, across in-process nodes in cluster mode.
+// serving state over when the serving member changes.
 func (s *server) move(req *rpc.Request) *rpc.Response {
 	if req.User == "" {
 		return &rpc.Response{Error: "move requires a user"}
+	}
+	if s.local == nil && s.mesh == nil {
+		return &rpc.Response{Error: "move requires a cluster (-nodes or -peers)"}
 	}
 	if !s.beginOp() {
 		return drainingResponse()
 	}
 	defer s.endOp()
-	if s.mesh != nil {
-		h, err := s.mesh.MoveUser(req.User, req.Cell)
-		if err != nil {
-			return &rpc.Response{Error: err.Error()}
-		}
-		return &rpc.Response{OK: true, Handover: h}
+	var h *rpc.Handover
+	var err error
+	if s.local != nil {
+		h, err = s.local.Move(req.User, req.Cell)
+	} else {
+		h, err = s.mesh.MoveUser(req.User, req.Cell)
 	}
-	res, err := s.sys.MoveUser(req.User, req.Cell)
 	if err != nil {
 		return &rpc.Response{Error: err.Error()}
 	}
-	return &rpc.Response{OK: true, Handover: &rpc.Handover{
-		From:          s.sys.Cluster.Node(res.From).Name(),
-		To:            s.sys.Cluster.Node(res.To).Name(),
-		Moved:         res.Moved,
-		Models:        res.Models,
-		MigratedBytes: res.Bytes,
-		LatencyMs:     float64(res.Latency) / float64(time.Millisecond),
-	}}
+	return &rpc.Response{OK: true, Handover: h}
+}
+
+// route returns the member serving user plus the release func the
+// request must call when done.
+func (s *server) route(user string) (*member, func()) {
+	if s.local == nil {
+		return s.members[0], func() {}
+	}
+	m, release := s.local.Route(user)
+	return s.members[m.Node.Self().Index], release
 }
 
 // shedLimit derives the admission-queue patience for one request: the
@@ -488,21 +457,24 @@ func (s *server) transmit(req *rpc.Request) *rpc.Response {
 	}
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
+	m, release := s.route(user)
+	defer release()
 	start := time.Now()
-	res, err := s.sys.TransmitText(user, words)
+	res, err := m.sys.TransmitText(user, words)
 	if err != nil {
 		return &rpc.Response{Error: err.Error()}
 	}
 	s.latency.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-	s.messages.Add(1)
-	if s.mesh != nil {
-		s.mesh.TouchUser(user)
-		s.mesh.NoteDomain(s.sys.Corpus.Domains[res.SelectedDomain].Name)
+	m.messages.Add(1)
+	domain := m.sys.Corpus.Domains[res.SelectedDomain].Name
+	if m.node != nil {
+		m.node.TouchUser(user)
+		m.node.NoteDomain(domain)
 	}
 	return &rpc.Response{
 		OK:             true,
 		Restored:       text.Join(res.RestoredWords),
-		SelectedDomain: s.sys.Corpus.Domains[res.SelectedDomain].Name,
+		SelectedDomain: domain,
 		Mismatch:       res.Mismatch,
 		PayloadBytes:   res.PayloadBytes,
 		LatencyMs:      float64(res.Latency) / float64(time.Millisecond),

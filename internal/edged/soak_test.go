@@ -1,6 +1,7 @@
 package edged
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"strings"
@@ -287,7 +288,9 @@ func TestBatchCollectorClientDisconnects(t *testing.T) {
 			user := fmt.Sprintf("good%02d", c)
 			gen := corpus.NewGenerator(sys.Corpus, mat.NewRNG(uint64(6000+c)))
 			for i := 0; i < perClient; i++ {
-				resp, err := cl.TransmitDeadline(user, gen.Message(c%len(sys.Corpus.Domains), nil).Text(), 30*time.Second)
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				resp, err := cl.TransmitContext(ctx, user, gen.Message(c%len(sys.Corpus.Domains), nil).Text())
+				cancel()
 				if err != nil {
 					errCh <- fmt.Errorf("%s: %w", user, err)
 					return
@@ -496,7 +499,9 @@ func TestAdmissionShedding(t *testing.T) {
 	defer cl.Close()
 	// The client's own patience is ample: the server's -shed-after policy
 	// is what rejects the request, and the client still gets the answer.
-	resp, err := cl.TransmitDeadline("impatient", "the server is down", 5*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	resp, err := cl.TransmitContext(ctx, "impatient", "the server is down")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/kb"
+	"repro/internal/mesh"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/trace"
@@ -78,21 +79,20 @@ type E11Result struct {
 	Cells []E11Cell
 }
 
-// RunE11 replays a mobile workload against a model-serving cluster for
-// every (policy, node count, mobility rate) combination: users roam
-// between cells (handover migrates their personalized models) while nodes
-// resolve cache misses cooperatively before paying the origin fetch. It
+// RunE11 replays a mobile workload against an in-process mesh
+// (mesh.Local) for every (policy, node count, mobility rate) combination:
+// users roam between cells (handover migrates their personalized models)
+// while members resolve sender-cache misses cooperatively before paying
+// the origin fetch. The workload drives each member's sender edge
+// directly; no message crosses the channel. It
 // reproduces the paper's caching/handover trade-off at cluster scale:
 // mobility converts local hits into mesh traffic and migrations, and the
 // eviction policy decides how much of the working set survives.
 func RunE11(env *Env, opts E11Options) (*E11Result, error) {
 	opts = opts.withDefaults()
-	// Shared read-only cloud registry of general models.
-	cloud := kb.NewRegistry()
 	var modelBytes int64
 	for i, d := range env.Corpus.Domains {
-		m := &kb.Model{Key: kb.GeneralKey(d.Name, kb.RoleCodec), Version: 1, Codec: env.Generals[i]}
-		cloud.Put(m)
+		m := &kb.Model{Key: kb.GeneralKey(d.Name, kb.RoleCodec), Codec: env.Generals[i]}
 		if s := m.SizeBytes(); s > modelBytes {
 			modelBytes = s
 		}
@@ -121,60 +121,65 @@ func RunE11(env *Env, opts E11Options) (*E11Result, error) {
 			Cells: cb.nodes, MobilityRate: cb.rate,
 			MeanRunLength: 8, Seed: opts.Seed,
 		})
-		c, err := cluster.New(cluster.Config{
-			Nodes:      cb.nodes,
-			CacheBytes: modelBytes * int64(opts.CapacityModels),
-			Policy:     cb.policy,
-			Uplink:     netsim.Link{Latency: 40 * time.Millisecond, BandwidthBps: 200e6},
-			Mesh:       netsim.Link{Latency: 5 * time.Millisecond, BandwidthBps: 400e6},
-			Seed:       opts.Seed,
-		}, cloud)
+		l, err := mesh.NewLocal(cb.nodes, core.Config{
+			Pretrained:       env.Generals,
+			Selector:         core.SelectorOracle,
+			SenderCacheBytes: modelBytes * int64(opts.CapacityModels),
+			Policy:           cb.policy,
+			CloudLink:        netsim.Link{Latency: 40 * time.Millisecond, BandwidthBps: 200e6},
+			Seed:             opts.Seed,
+		}, mesh.Config{MeshLink: netsim.Link{Latency: 5 * time.Millisecond, BandwidthBps: 400e6}})
 		if err != nil {
 			return err
 		}
+		defer l.Close()
 		personalized := make(map[string]bool, opts.Users*2)
 		var totalFetch time.Duration
 		next := 0
 		for _, req := range w.Requests {
 			for next < len(w.Moves) && w.Moves[next].Seq <= req.Seq {
-				if _, err := c.Move(w.Moves[next].User, w.Moves[next].Cell); err != nil {
+				if _, err := l.Move(w.Moves[next].User, w.Moves[next].Cell); err != nil {
 					return err
 				}
 				next++
 			}
-			node := c.Route(req.User)
+			sender := l.Members()[l.Owner(req.User)].Sys.Sender
 			// First touch of a (user, domain) pair personalizes there, so
 			// mobility has individual models to migrate.
 			pk := req.User + "/" + req.Msg.DomainName
 			if !personalized[pk] {
 				personalized[pk] = true
-				_, lat, err := node.Edge().Personalize(req.Msg.DomainName, req.User)
+				_, lat, err := sender.Personalize(req.Msg.DomainName, req.User)
 				if err != nil {
 					return err
 				}
 				totalFetch += lat
 			}
-			acq, err := node.Edge().AcquireCodec(req.Msg.DomainName, req.User)
+			acq, err := sender.AcquireCodec(req.Msg.DomainName, req.User)
 			if err != nil {
 				return err
 			}
 			totalFetch += acq.FetchLatency
 		}
-		st := c.Stats()
 		var hits, misses uint64
-		var neighbor, origin int64
-		for _, n := range st.Nodes {
-			hits += n.Cache.Hits
-			misses += n.Cache.Misses
-			neighbor += n.NeighborHits
-			origin += n.OriginFetches
+		var neighbor, origin, handovers, migrated int64
+		for _, m := range l.Members() {
+			cs := m.Sys.Sender.CacheStats()
+			hits += cs.Hits
+			misses += cs.Misses
+			ns := m.Node.Stats()
+			neighbor += ns.NeighborHits
+			origin += ns.OriginFetches
+			h, b := m.Node.HandoverStats()
+			handovers += h
+			migrated += b
 		}
 		cell := E11Cell{
 			Policy:       cb.policy,
 			Nodes:        cb.nodes,
 			MobilityRate: cb.rate,
-			Handovers:    st.Handovers,
-			MigratedKB:   float64(st.MigratedBytes) / 1024,
+			Handovers:    handovers,
+			MigratedKB:   float64(migrated) / 1024,
 			MeanFetchMs:  float64(totalFetch.Milliseconds()) / float64(len(w.Requests)),
 		}
 		if total := hits + misses; total > 0 {

@@ -23,11 +23,10 @@ func parseRole(s string) (kb.Role, error) {
 
 // FetchModel implements edge.Fetcher: resolve a local sender-cache miss
 // cooperatively by probing live peers over the wire in ring order
-// (nearest successor first), then fall back to the cloud origin. The
-// probe order, Peek semantics and simulated latency accounting mirror
-// the in-process cluster's cooperative fetcher exactly: a neighbor hit
-// costs one mesh-link transfer of the model's role-sized parameters —
-// wall-clock time spent on the TCP round-trip is not part of the model.
+// (nearest successor first), then fall back to the cloud origin. A
+// neighbor hit costs one simulated mesh-link transfer of the model's
+// role-sized parameters — wall-clock time spent on the round trip is not
+// part of the model.
 func (n *Node) FetchModel(k kb.Key) (edge.Fetch, error) {
 	if n.origin == nil {
 		return edge.Fetch{}, errors.New("mesh: node not bound to a system")

@@ -87,7 +87,7 @@ func exportFromWire(h *rpc.HandoffPayload) (*core.UserExport, error) {
 // radio cell and, when the cell maps to a different live member, push
 // the user's serving state there and drop it locally. The reported
 // latency is the simulated mesh-link transfer of the sender-side
-// payload, mirroring the in-process cluster's handover accounting.
+// payload.
 func (n *Node) MoveUser(user string, cell int) (*rpc.Handover, error) {
 	n.mu.RLock()
 	sys := n.sys

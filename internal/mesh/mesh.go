@@ -1,26 +1,32 @@
-// Package mesh turns independent edged processes into one cooperative
-// edge cluster: the multi-process counterpart of internal/cluster.
+// Package mesh is the semantic edge cluster: N cooperating edge members,
+// each a single-sender core.System plus a mesh.Node, with users assigned
+// to members by consistent hashing.
 //
-// Each process runs a single-sender core.System plus a mesh.Node. The
-// node knows the static peer list, probes peer liveness, and maintains a
-// consistent-hash ring over the live members — the same ring (same seed,
-// same virtual points) the in-process cluster uses, so a user hashes to
-// node i in a 3-process mesh exactly when the in-process `-nodes 3`
-// cluster routes them to node i. On top of membership the node provides
-// the two cross-process data paths:
+// One implementation serves two transports. A multi-process deployment
+// (`edged -peers ...`) runs one member per process, and peers talk v2
+// frames over TCP. An in-process deployment (Local: `edged -nodes N`,
+// experiment E11) runs every member in one process, and peers talk the
+// same v2 frames over in-memory pipes, answered by the same HandleOp
+// dispatch a daemon uses.
+//
+// A member knows the static peer list and maintains a consistent-hash
+// ring over the live members; with the same seed every deployment shape
+// routes a user to the same member index. In a multi-process mesh the
+// member also probes peer liveness and rebuilds the ring when a peer
+// dies or leaves. On top of membership the node provides the two
+// cross-member data paths:
 //
 //   - cooperative fetch: the node implements edge.Fetcher; a local
-//     general-model cache miss probes peer caches over the v2 wire
-//     protocol (OpFetchModel) in ring order before paying the cloud
-//     origin, mirroring the in-process cooperative fetcher including its
-//     latency accounting (simulated mesh-link transfer time, not
-//     wall-clock).
+//     general-model cache miss probes peer caches (OpFetchModel) in ring
+//     order before paying the cloud origin, charging the simulated
+//     mesh-link transfer time, not wall-clock.
 //
-//   - handover: when a user's serving node changes (mobility or a peer
-//     death), the old owner exports the user's serving state —
-//     individual models of both edge sides plus the per-user noise
-//     sequence — and pushes it to the new owner (OpHandoverPush), which
-//     resumes the user's noise stream bit-identically.
+//   - handover: when a user's serving member changes (mobility or a peer
+//     death), the old owner exports the user's serving state — individual
+//     models of both edge sides, selection belief, pending update buffers
+//     and the per-user noise sequence — and pushes it to the new owner
+//     (OpHandoverPush), which resumes the user's noise stream
+//     bit-identically.
 package mesh
 
 import (
@@ -48,19 +54,15 @@ type Config struct {
 	// the address peers reach it at.
 	Self rpc.PeerInfo
 	// Peers lists every other static member. Indices must be distinct
-	// and, together with Self.Index, cover 0..len(Peers) so the ring
-	// matches the in-process cluster's.
+	// and, together with Self.Index, cover 0..len(Peers).
 	Peers []rpc.PeerInfo
 	// MeshLink models inter-node transfers (default 10 ms, 100 Mbps —
-	// the core EdgeLink default, which is what the in-process cluster
-	// charges for neighbor fetches).
+	// the core EdgeLink default).
 	MeshLink netsim.Link
-	// RingReplicas is the number of virtual points per node (default 64,
-	// matching internal/cluster).
+	// RingReplicas is the number of virtual points per node (default 64).
 	RingReplicas int
-	// RingSeed places the virtual points (default 1, matching
-	// internal/cluster). Must equal the system seed the in-process
-	// deployment would use for routing parity.
+	// RingSeed places the virtual points (default 1). Deployments and
+	// clients that share it route every user identically.
 	RingSeed uint64
 	// ProbeInterval is the liveness-probe period (default 1s).
 	ProbeInterval time.Duration
@@ -113,6 +115,10 @@ type peer struct {
 	// by the probe loop; nil before the first successful probe.
 	lastStats atomic.Pointer[rpc.NodeStats]
 
+	// dial opens a connection to the peer: TCP for -peers members, an
+	// in-memory pipe for the members of one in-process deployment.
+	dial func(ctx context.Context) (net.Conn, error)
+
 	mu     sync.Mutex
 	client *rpc.Client
 }
@@ -132,8 +138,7 @@ func (p *peer) call(ctx context.Context, timeout time.Duration, fn func(ctx cont
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.client == nil {
-		var d net.Dialer
-		conn, err := d.DialContext(ctx, "tcp", p.info.Addr)
+		conn, err := p.dial(ctx)
 		if err != nil {
 			return err
 		}
@@ -202,8 +207,8 @@ type Node struct {
 }
 
 // NewNode validates the static membership and builds the node. Every
-// member starts presumed alive: the ring initially equals the in-process
-// cluster's full ring, and the probe loop (Start) demotes members that
+// member starts presumed alive: the ring initially covers the full
+// static membership, and the probe loop (Start) demotes members that
 // turn out to be unreachable.
 func NewNode(cfg Config) (*Node, error) {
 	cfg = cfg.withDefaults()
@@ -230,7 +235,11 @@ func NewNode(cfg Config) (*Node, error) {
 			return nil, fmt.Errorf("mesh: peer %q has no address", pi.Name)
 		}
 		seen[pi.Index] = true
-		p := &peer{info: pi}
+		addr := pi.Addr
+		p := &peer{info: pi, dial: func(ctx context.Context) (net.Conn, error) {
+			var d net.Dialer
+			return d.DialContext(ctx, "tcp", addr)
+		}}
 		p.alive.Store(true)
 		n.peers[pi.Index] = p
 	}
@@ -521,6 +530,48 @@ func (n *Node) HandleLeave(pi rpc.PeerInfo) {
 	}
 }
 
+// HandleOp serves one v2 mesh op. It is the single dispatch for peer
+// requests, whether they arrive at an edged listener over TCP or over an
+// in-process pipe.
+func (n *Node) HandleOp(req *rpc.Request) *rpc.Response {
+	switch req.Op {
+	case rpc.OpJoin:
+		if req.Peer == nil {
+			return &rpc.Response{Error: "join requires peer info"}
+		}
+		return &rpc.Response{OK: true, Peers: n.HandleJoin(*req.Peer)}
+	case rpc.OpLeave:
+		if req.Peer == nil {
+			return &rpc.Response{Error: "leave requires peer info"}
+		}
+		n.HandleLeave(*req.Peer)
+		return &rpc.Response{OK: true}
+	case rpc.OpPeerStats:
+		ns := n.Stats()
+		return &rpc.Response{OK: true, Node: &ns}
+	case rpc.OpFetchModel:
+		if req.Fetch == nil {
+			return &rpc.Response{Error: "fetch-model requires a model key"}
+		}
+		payload, err := n.HandleFetch(*req.Fetch)
+		if err != nil {
+			return &rpc.Response{Error: err.Error()}
+		}
+		// A nil Model is a clean miss: the prober moves on.
+		return &rpc.Response{OK: true, Model: payload}
+	case rpc.OpHandoverPush:
+		if req.Handoff == nil {
+			return &rpc.Response{Error: "handover-push requires a payload"}
+		}
+		if err := n.HandleHandoverPush(req.Handoff); err != nil {
+			return &rpc.Response{Error: err.Error()}
+		}
+		return &rpc.Response{OK: true}
+	default:
+		return &rpc.Response{Error: fmt.Sprintf("unknown mesh op %q", req.Op)}
+	}
+}
+
 // TouchUser records that this node served user (stats only).
 func (n *Node) TouchUser(user string) {
 	n.mu.Lock()
@@ -633,8 +684,8 @@ func (n *Node) EvictionGuard(k kb.Key) bool {
 	return false
 }
 
-// HandoverStats returns the aggregate handover counters (out-side, the
-// figure the in-process cluster reports).
+// HandoverStats returns the aggregate handover counters, counted on the
+// sending side.
 func (n *Node) HandoverStats() (handovers, migratedBytes int64) {
 	return n.handoversOut.Load(), n.migratedBytes.Load()
 }

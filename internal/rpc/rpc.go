@@ -296,10 +296,9 @@ type ServeStats struct {
 // printers.
 var BatchOccupancyLabels = [6]string{"1", "2", "3-4", "5-8", "9-16", "17+"}
 
-// NodeStats reports one cluster node's counters. The field set mirrors
-// cluster.NodeStats one-for-one (FetchLatency carried as milliseconds) so
-// per-process mesh snapshots and single-process cluster snapshots
-// aggregate through the same code.
+// NodeStats reports one cluster member's counters (mesh.Node.Stats), in
+// the same shape whether the member runs in its own process or inside
+// `edged -nodes N`.
 type NodeStats struct {
 	Name           string  `json:"name"`
 	Users          int     `json:"users"`
@@ -335,10 +334,10 @@ type DomainHeat struct {
 	Count  int64  `json:"count"`
 }
 
-// Merge folds other's counters into s, so per-process stats scraped from
-// N mesh daemons aggregate to the same totals a single-process cluster
-// reports: additive counters sum, SenderHitRate re-weights by Messages,
-// and Nodes concatenates. Serve percentiles are per-process measurements
+// Merge folds other's counters into s, so per-member stats — scraped
+// from N mesh daemons, or collected inside `edged -nodes N` — aggregate
+// to deployment totals: additive counters sum, SenderHitRate re-weights
+// by Messages, and Nodes concatenates. Serve percentiles are per-process measurements
 // with no meaningful cross-process merge; s keeps its own Serve snapshot
 // untouched except for the additive shed/batch counters.
 func (s *Stats) Merge(other *Stats) {

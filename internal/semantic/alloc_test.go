@@ -7,7 +7,7 @@ import (
 )
 
 // TestCodecSteadyStateZeroAllocs pins the warm codec hot path at zero heap
-// allocations: encode, batched decode (the codec path of DecodeBatch), and
+// allocations: encode, batched decode of a packed message batch, and
 // the decoder-copy round trip, all against one reused scratch arena. Any
 // regression that reintroduces per-token or per-call buffers fails here.
 // The race detector instruments allocations, so the budget only holds in
@@ -43,7 +43,7 @@ func TestCodecSteadyStateZeroAllocs(t *testing.T) {
 	}
 
 	// The batched decode path: every token of a whole message batch packed
-	// into one matrix (the DecodeBatch hot loop), decoded in place.
+	// into one matrix, decoded in place.
 	total := 0
 	for _, m := range msgs {
 		total += len(m)

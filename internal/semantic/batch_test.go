@@ -20,8 +20,20 @@ func batchMessages(corp *corpus.Corpus, n int) [][]string {
 	return msgs
 }
 
-// TestBatchMatchesSerial asserts EncodeBatch/DecodeBatch are bit-identical
-// to per-message EncodeWords/DecodeFeatures at any worker count.
+// roundTrip encodes and decodes every message on its own, each through
+// the batched-GEMM per-message path.
+func roundTrip(codec *Codec, msgs [][]string) (feats [][][]float64, concepts [][]int) {
+	feats = make([][][]float64, len(msgs))
+	concepts = make([][]int, len(msgs))
+	for i, m := range msgs {
+		feats[i] = codec.EncodeWords(m)
+		concepts[i] = codec.DecodeFeatures(feats[i])
+	}
+	return feats, concepts
+}
+
+// TestBatchMatchesSerial asserts the per-message batched-GEMM encode and
+// decode are bit-identical at any worker count to a single-worker run.
 func TestBatchMatchesSerial(t *testing.T) {
 	corp, codec := sharedFixtures(t)
 	msgs := batchMessages(corp, 40)
@@ -30,24 +42,16 @@ func TestBatchMatchesSerial(t *testing.T) {
 	defer mat.SetParallelism(prev)
 
 	mat.SetParallelism(1)
-	wantFeats := make([][][]float64, len(msgs))
-	for i, m := range msgs {
-		wantFeats[i] = codec.EncodeWords(m)
-	}
-	wantConcepts := make([][]int, len(msgs))
-	for i, f := range wantFeats {
-		wantConcepts[i] = codec.DecodeFeatures(f)
-	}
+	wantFeats, wantConcepts := roundTrip(codec, msgs)
 
-	for _, workers := range []int{1, 2, 8} {
+	for _, workers := range []int{2, 8} {
 		mat.SetParallelism(workers)
-		feats := codec.EncodeBatch(msgs)
+		feats, concepts := roundTrip(codec, msgs)
 		if !reflect.DeepEqual(feats, wantFeats) {
-			t.Fatalf("EncodeBatch at %d workers differs from serial encode", workers)
+			t.Fatalf("encode at %d workers differs from serial encode", workers)
 		}
-		concepts := codec.DecodeBatch(feats)
 		if !reflect.DeepEqual(concepts, wantConcepts) {
-			t.Fatalf("DecodeBatch at %d workers differs from serial decode", workers)
+			t.Fatalf("decode at %d workers differs from serial decode", workers)
 		}
 	}
 }
@@ -118,7 +122,7 @@ func TestConcurrentBatchEncode(t *testing.T) {
 	defer mat.SetParallelism(prev)
 	mat.SetParallelism(8)
 
-	want := codec.DecodeBatch(codec.EncodeBatch(msgs))
+	_, want := roundTrip(codec, msgs)
 
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -128,7 +132,7 @@ func TestConcurrentBatchEncode(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for iter := 0; iter < 4; iter++ {
-				got := codec.DecodeBatch(codec.EncodeBatch(msgs))
+				_, got := roundTrip(codec, msgs)
 				if !reflect.DeepEqual(got, want) {
 					errs <- "concurrent batch encode/decode not deterministic"
 					return

@@ -284,23 +284,6 @@ func (c *Codec) EncodeWords(words []string) [][]float64 {
 	return feats
 }
 
-// EncodeBatch encodes a batch of token sequences, sharding messages across
-// the mat worker pool. The result is ordered like msgs and bit-identical
-// to calling EncodeWords on each message serially.
-func (c *Codec) EncodeBatch(msgs [][]string) [][][]float64 {
-	out := make([][][]float64, len(msgs))
-	mat.ParallelFor(len(msgs), batchGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = c.EncodeWords(msgs[i])
-		}
-	})
-	return out
-}
-
-// batchGrain is the minimum number of messages per worker for the batch
-// encode/decode entry points.
-const batchGrain = 8
-
 // DecodeFeature returns the most likely concept index for one feature
 // vector. Scratch comes from the package pool, so steady-state calls are
 // allocation-free.
@@ -355,19 +338,6 @@ func (c *Codec) DecodeFeatures(feats [][]float64) []int {
 		copy(d.Row(i), f)
 	}
 	c.DecodeFeaturesInto(sc, d, out)
-	return out
-}
-
-// DecodeBatch decodes a batch of feature sequences, sharding messages
-// across the mat worker pool. The result is ordered like feats and
-// bit-identical to calling DecodeFeatures on each sequence serially.
-func (c *Codec) DecodeBatch(feats [][][]float64) [][]int {
-	out := make([][]int, len(feats))
-	mat.ParallelFor(len(feats), batchGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = c.DecodeFeatures(feats[i])
-		}
-	})
 	return out
 }
 
