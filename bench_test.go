@@ -267,7 +267,9 @@ func BenchmarkSemanticEncodeToken(b *testing.B) {
 	}
 }
 
-// BenchmarkSemanticDecodeToken measures single-token semantic decoding.
+// BenchmarkSemanticDecodeToken measures single-token semantic decoding
+// through the decoder kernel (serving reads most decodes from the token
+// table instead; BenchmarkTokenTable times that).
 func BenchmarkSemanticDecodeToken(b *testing.B) {
 	env := experiments.Environment()
 	codec := env.General("it")
@@ -275,8 +277,84 @@ func BenchmarkSemanticDecodeToken(b *testing.B) {
 	codec.EncodeSurfaceID(codec.Domain().SurfaceID("server"), feat)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		codec.DecodeFeature(feat)
+		kernelDecodeFeature(codec, feat)
 	}
+}
+
+// kernelDecodeFeature is Codec.DecodeFeature through the decoder kernel,
+// bypassing the token table: the single-token kernel cost.
+func kernelDecodeFeature(c *semantic.Codec, feat []float64) int {
+	sc := mat.GetScratch()
+	defer mat.PutScratch(sc)
+	var dst [1]int
+	c.DecodeFeaturesKernel(sc, sc.Wrap(1, len(feat), feat), dst[:])
+	return dst[0]
+}
+
+// BenchmarkTokenTable times the token table serving reads from, on the
+// 1024-token stream BenchmarkEncodeGEMM runs through the kernels: hit
+// (encode, decoder-copy decode and flip-free receive decode, all answered
+// by the table), miss (decode of noisy rows the memo does not hold: the
+// lookup plus the kernel) and build (one table from the current weights:
+// the vocabulary's encoder rows and images; decodes fill on first use at
+// the cost of a miss).
+func BenchmarkTokenTable(b *testing.B) {
+	env := experiments.Environment()
+	codec := env.General("it").Clone()
+	quant := channel.DefaultQuantizer()
+	codec.SetFeatureImage(quant.RoundTrip)
+	words := gemmBenchWords(env)
+	sc := mat.GetScratch()
+	defer mat.PutScratch(sc)
+	concepts := make([]int, len(words))
+	rx := mat.NewDense(len(words), codec.FeatureDim())
+	quant.RoundTrip(rx.Data, codec.EncodeWordsKernel(sc, words).Data)
+	noisy := mat.NewDense(len(words), codec.FeatureDim())
+	rng := mat.NewRNG(5)
+	for i := range noisy.Data {
+		noisy.Data[i] = rx.Data[i] + 0.3*rng.NormFloat64()
+	}
+	hit := func() {
+		sc.Reset()
+		feats := codec.EncodeWordsInto(sc, words)
+		codec.DecodeFeaturesInto(sc, feats, concepts)
+		codec.DecodeFeaturesInto(sc, rx, concepts)
+	}
+	hit() // build the table and fill the entries the stream uses
+	codec.DecodeFeaturesInto(sc, noisy, concepts)
+	b.Run("hit", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			hit()
+		}
+		b.ReportMetric(float64(len(words)), "tokens/op")
+	})
+	b.Run("miss", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sc.Reset()
+			codec.DecodeFeaturesInto(sc, noisy, concepts)
+		}
+		b.ReportMetric(float64(len(words)), "tokens/op")
+	})
+	b.Run("build", func(b *testing.B) {
+		one := []string{words[0]}
+		for i := 0; i < b.N; i++ {
+			sc.Reset()
+			codec.SetFeatureImage(quant.RoundTrip) // retires the table
+			codec.RoundTripInto(sc, one, concepts[:1])
+		}
+		b.ReportMetric(float64(codec.Domain().VocabSize()), "surfaces/op")
+	})
+}
+
+// gemmBenchWords is the fixed 1024-token "it" stream of the codec
+// pipeline benchmarks.
+func gemmBenchWords(env *experiments.Env) []string {
+	gen := corpus.NewGenerator(env.Corpus, mat.NewRNG(7))
+	var words []string
+	for len(words) < 1024 {
+		words = append(words, gen.Message(env.Corpus.Domain("it").Index, nil).Words...)
+	}
+	return words[:1024]
 }
 
 // BenchmarkFeatureLink measures the full physical-layer round trip for one
@@ -460,12 +538,7 @@ func BenchmarkAddOuter(b *testing.B) {
 func BenchmarkEncodeGEMM(b *testing.B) {
 	env := experiments.Environment()
 	codec := env.General("it")
-	gen := corpus.NewGenerator(env.Corpus, mat.NewRNG(7))
-	var words []string
-	for len(words) < 1024 {
-		words = append(words, gen.Message(env.Corpus.Domain("it").Index, nil).Words...)
-	}
-	words = words[:1024]
+	words := gemmBenchWords(env)
 	ids := make([]int, len(words))
 	for i, w := range words {
 		ids[i] = codec.Domain().SurfaceID(w)
@@ -477,7 +550,7 @@ func BenchmarkEncodeGEMM(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for t, id := range ids {
 				codec.EncodeSurfaceID(id, feat)
-				concepts[t] = codec.DecodeFeature(feat)
+				concepts[t] = kernelDecodeFeature(codec, feat)
 			}
 		}
 		b.ReportMetric(float64(len(words)), "tokens/op")
@@ -489,8 +562,8 @@ func BenchmarkEncodeGEMM(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			sc.Reset()
-			feats := codec.EncodeWordsInto(sc, words)
-			codec.DecodeFeaturesInto(sc, feats, concepts)
+			feats := codec.EncodeWordsKernel(sc, words)
+			codec.DecodeFeaturesKernel(sc, feats, concepts)
 		}
 		b.ReportMetric(float64(len(words)), "tokens/op")
 	})
@@ -548,12 +621,12 @@ func BenchmarkEncodeGEMM(b *testing.B) {
 			defer mat.PutScratch(sc)
 			concepts := make([]int, len(words))
 			// Build the reduced-precision shadow before timing starts.
-			tc.DecodeFeaturesInto(sc, tc.EncodeWordsInto(sc, words), concepts)
+			tc.DecodeFeaturesKernel(sc, tc.EncodeWordsKernel(sc, words), concepts)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sc.Reset()
-				feats := tc.EncodeWordsInto(sc, words)
-				tc.DecodeFeaturesInto(sc, feats, concepts)
+				feats := tc.EncodeWordsKernel(sc, words)
+				tc.DecodeFeaturesKernel(sc, feats, concepts)
 			}
 			b.ReportMetric(float64(len(words)), "tokens/op")
 		})

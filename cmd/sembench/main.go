@@ -131,27 +131,40 @@ func runGEMM(env *experiments.Env, quick bool) error {
 		return best
 	}
 
+	// Both paths run the codec kernels; serving reads the token table
+	// built from them instead (see the Kernel tiers section of the README).
+	sc := mat.GetScratch()
+	defer mat.PutScratch(sc)
 	feat := make([]float64, codec.FeatureDim())
 	concepts := make([]int, len(words))
 	perVector := bestOf(func() {
 		for t, id := range ids {
 			codec.EncodeSurfaceID(id, feat)
-			concepts[t] = codec.DecodeFeature(feat)
+			sc.Reset()
+			codec.DecodeFeaturesKernel(sc, sc.Wrap(1, len(feat), feat), concepts[t:t+1])
 		}
 	})
 
-	sc := mat.GetScratch()
-	defer mat.PutScratch(sc)
 	batched := make([]int, len(words))
 	gemm := bestOf(func() {
 		sc.Reset()
+		feats := codec.EncodeWordsKernel(sc, words)
+		codec.DecodeFeaturesKernel(sc, feats, batched)
+	})
+
+	served := make([]int, len(words))
+	table := bestOf(func() {
+		sc.Reset()
 		feats := codec.EncodeWordsInto(sc, words)
-		codec.DecodeFeaturesInto(sc, feats, batched)
+		codec.DecodeFeaturesInto(sc, feats, served)
 	})
 
 	for i := range concepts {
 		if concepts[i] != batched[i] {
 			return fmt.Errorf("gemm: batched decode diverged at token %d", i)
+		}
+		if served[i] != batched[i] {
+			return fmt.Errorf("gemm: token-table decode diverged at token %d", i)
 		}
 	}
 	rate := func(d time.Duration) float64 { return float64(tokens) / d.Seconds() }
@@ -159,6 +172,7 @@ func runGEMM(env *experiments.Env, quick bool) error {
 	fmt.Printf("  %-22s %12s %14s\n", "path", "time", "tokens/s")
 	fmt.Printf("  %-22s %12v %14.0f\n", "per-vector", perVector.Round(time.Microsecond), rate(perVector))
 	fmt.Printf("  %-22s %12v %14.0f\n", "batched GEMM", gemm.Round(time.Microsecond), rate(gemm))
+	fmt.Printf("  %-22s %12v %14.0f\n", "token table (serving)", table.Round(time.Microsecond), rate(table))
 	fmt.Printf("  (today's per-vector entry points share the blocked kernels,\n")
 	fmt.Printf("   so parity here means the batch API itself costs nothing)\n\n")
 

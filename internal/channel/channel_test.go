@@ -286,6 +286,43 @@ func TestFeatureLinkCleanRoundTrip(t *testing.T) {
 	}
 }
 
+// TestQuantizerRoundTripIsFlipFreeImage pins the contract the codecs'
+// token tables rely on: Quantizer.RoundTrip yields, bit for bit, what a
+// FeatureLink delivers when no bit flips — for every stock code and
+// modulation, in range, clamped, and at the grid's edges.
+func TestQuantizerRoundTripIsFlipFreeImage(t *testing.T) {
+	rng := mat.NewRNG(13)
+	vals := make([]float64, 120)
+	for i := range vals {
+		vals[i] = 2.4*rng.Float64() - 1.2
+	}
+	vals = append(vals, -1, 1, 0, math.Nextafter(1, 0), math.Copysign(0, -1))
+	for _, bits := range []int{1, 3, 6, 16} {
+		q := Quantizer{Bits: bits, Lo: -1, Hi: 1}
+		want := make([]float64, len(vals))
+		q.DecodeInto(want, q.EncodeTo(nil, vals))
+		got := make([]float64, len(vals))
+		q.RoundTrip(got, vals)
+		for i := range vals {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("bits=%d value %v: RoundTrip %v, bit stream %v", bits, vals[i], got[i], want[i])
+			}
+		}
+		for _, code := range []Code{Hamming74{}, Repetition{N: 3}, Identity{}} {
+			for _, mod := range []Modulation{BPSK{}, QPSK{}, QAM16{}} {
+				link := FeatureLink{Quant: q, Code: code, Mod: mod, Ch: Clean{}}
+				rx := make([]float64, len(vals))
+				link.SendFlat(rx, vals)
+				for i := range vals {
+					if math.Float64bits(rx[i]) != math.Float64bits(got[i]) {
+						t.Fatalf("bits=%d %s/%T: clean link delivered %v, RoundTrip %v", bits, code.Name(), mod, rx[i], got[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestFeatureLinkNoisePerturbsGracefully(t *testing.T) {
 	rng := mat.NewRNG(12)
 	link := DefaultFeatureLink(&AWGN{SNRdB: 0, Rng: rng.Split()})

@@ -125,6 +125,23 @@ func (q Quantizer) DecodeInto(dst []float64, bits []bool) int {
 	return count
 }
 
+// RoundTrip writes into dst the values src reads back as after
+// quantization: dst[i] is bit-identical to what DecodeInto(EncodeTo(src))
+// yields at position i, without the bit stream. It is the image of a
+// feature row through a FeatureLink that flips no bit. dst and src must
+// have the same length and may alias.
+func (q Quantizer) RoundTrip(dst, src []float64) {
+	q.validate()
+	if len(dst) != len(src) {
+		panic("channel: Quantizer.RoundTrip length mismatch")
+	}
+	n := q.levels()
+	span := q.Hi - q.Lo
+	for i, v := range src {
+		dst[i] = q.value(q.index(v, n, span), n, span)
+	}
+}
+
 // StepSize returns the reconstruction step between adjacent levels.
 func (q Quantizer) StepSize() float64 {
 	return (q.Hi - q.Lo) / float64(q.levels()-1)

@@ -20,11 +20,12 @@ const DefaultBatchMaxTokens = 512
 // batcher is the cross-request dynamic batching collector. In-flight
 // transmits submit jobs; the first submitter of a batch becomes its
 // leader, waits out the window (or a full token budget), steals the
-// accumulated batch and executes it as a handful of fused GEMMs — one
+// accumulated batch and executes it as a handful of fused passes — one
 // encode, one receiver decode and one decoder-copy decode per distinct
-// codec — instead of one small GEMM set per request. The moment a leader
-// steals its batch the next submitter becomes the new leader, so
-// collection of batch N+1 overlaps execution of batch N.
+// codec, each reading the codec's token table and running one kernel pass
+// over the rows it misses — instead of one small pass per request. The
+// moment a leader steals its batch the next submitter becomes the new
+// leader, so collection of batch N+1 overlaps execution of batch N.
 //
 // There is no background goroutine: with no traffic the batcher is
 // completely idle, and shutdown needs no coordination.
@@ -288,7 +289,7 @@ func (b *batcher) execute(jobs []*batchJob) {
 		x.rgroups[j.rgIdx].tokens += len(j.words)
 	}
 
-	// Fused encode: one gather + GEMM + tanh per sender codec.
+	// Fused encode: one token-table gather per sender codec.
 	for gi := range x.sgroups {
 		g := &x.sgroups[gi]
 		x.msgs = x.msgs[:0]

@@ -432,6 +432,14 @@ func NewSystem(cfg Config) (*System, error) {
 			}
 		}
 	}
+	// A receiver decodes what the link delivers, which is the quantizer's
+	// round trip of the sent row whenever no bit flipped: the codecs'
+	// token tables memoize the decode of that image for every surface.
+	// Individual models inherit it when cloned.
+	quant := channel.Quantizer{Bits: cfg.QuantBits, Lo: -1, Hi: 1}
+	for _, g := range generals {
+		g.SetFeatureImage(quant.RoundTrip)
+	}
 
 	cloud := kb.NewRegistry()
 	var generalBytes int64
@@ -490,7 +498,7 @@ func NewSystem(cfg Config) (*System, error) {
 		return &channel.AWGN{SNRdB: cfg.SNRdB, Rng: r}
 	}
 	link := channel.FeatureLink{
-		Quant: channel.Quantizer{Bits: cfg.QuantBits, Lo: -1, Hi: 1},
+		Quant: quant,
 		Code:  code,
 		Mod:   mod,
 		Ch:    mkChannel(noiseRng),
@@ -712,7 +720,7 @@ func (s *System) transmitSelected(sc *mat.Scratch, st *userState, user string, w
 	domain := s.Corpus.Domains[selected].Name
 	sender := s.Sender
 
-	// Step 2: sender-side semantic encoding (one batched GEMM).
+	// Step 2: sender-side semantic encoding (token-table rows).
 	enc, err := sender.Encode(sc, domain, user, words)
 	if err != nil {
 		return nil, nil, err
@@ -732,7 +740,8 @@ func (s *System) transmitSelected(sc *mat.Scratch, st *userState, user string, w
 	airTime := time.Duration(float64(stats.Symbols) / s.symbolRateHz * float64(time.Second))
 	airTime += s.edgeLink.Latency
 
-	// Step 4: receiver-side semantic decoding (batched GEMMs).
+	// Step 4: receiver-side semantic decoding (token-table memo, decoder
+	// kernel for rows the channel corrupted).
 	dec, err := s.Receiver.Decode(sc, domain, user, rx)
 	if err != nil {
 		return nil, nil, err

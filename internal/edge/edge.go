@@ -232,9 +232,10 @@ type EncodeResult struct {
 	ComputeLatency time.Duration
 }
 
-// Encode runs semantic feature extraction for (domain, user) over words as
-// one batched GEMM. sc must be non-nil: the feature matrix is allocated
-// from it, so a warm steady-state call performs no heap allocation.
+// Encode runs semantic feature extraction for (domain, user) over words,
+// reading each token's features from the codec's token table. sc must be
+// non-nil: the feature matrix is allocated from it, so a warm steady-state
+// call performs no heap allocation.
 func (s *Server) Encode(sc *mat.Scratch, domain, user string, words []string) (EncodeResult, error) {
 	acq, err := s.AcquireCodec(domain, user)
 	if err != nil {
@@ -261,9 +262,10 @@ type DecodeResult struct {
 }
 
 // DecodeConcepts restores the concept sequence from received features for
-// (domain, user) with batched GEMMs, without rendering surface words. sc
-// must be non-nil: concepts and all temporaries are allocated from it, so a
-// warm steady-state call performs no heap allocation.
+// (domain, user) through the codec's token table and decoder kernel,
+// without rendering surface words. sc must be non-nil: concepts and all
+// temporaries are allocated from it, so a warm steady-state call performs
+// no heap allocation.
 func (s *Server) DecodeConcepts(sc *mat.Scratch, domain, user string, feats *mat.Dense) (DecodeResult, error) {
 	acq, err := s.AcquireCodec(domain, user)
 	if err != nil {

@@ -108,7 +108,10 @@ func (s *Server) ImportUserModel(m *ExportedModel) error {
 				s.name, m.User, m.Domain, p.Name)
 		}
 	}
-	target.CopyFrom(params)
+	_ = model.Codec.WriteWeights(func() error { // shapes were checked above
+		target.CopyFrom(params)
+		return nil
+	})
 	model.Version = m.Version
 	return nil
 }

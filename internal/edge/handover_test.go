@@ -6,6 +6,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/fl"
 	"repro/internal/mat"
+	"repro/internal/semantic"
 )
 
 // personalizeOn runs enough idiolect traffic through srv to produce a
@@ -123,5 +124,69 @@ func TestImportRejectsWrongDomainShapes(t *testing.T) {
 	exported.Domain = "medical"
 	if err := edgeB.ImportUserModel(exported); err == nil {
 		t.Fatal("cross-domain import accepted")
+	}
+}
+
+// TestImportRetiresStaleServingState is the regression test for an import
+// over a warm individual model: edge B serves an older individual model
+// for u1 at the f32 tier (building its reduced-precision shadows), then
+// imports A's fine-tuned model. B must then encode and decode exactly like
+// a fresh f32 copy of A's weights, not from shadows of the old weights.
+func TestImportRetiresStaleServingState(t *testing.T) {
+	corp, _ := cloudFixture(t)
+	edgeA := newServer(t, 6, nil)
+	edgeB := newServer(t, 6, nil)
+	personalizeOn(t, edgeA, corp, 55)
+	exported, err := edgeA.ExportUserModel("it", "u1")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	old, _, err := edgeB.Personalize("it", "u1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Codec.SetTier(semantic.TierF32); err != nil {
+		t.Fatal(err)
+	}
+	words := corpus.NewGenerator(corp, mat.NewRNG(56)).Message(corp.Domain("it").Index, nil).Words
+	sc := mat.GetScratch()
+	defer mat.PutScratch(sc)
+	if _, err := edgeB.Encode(sc, "it", "u1", words); err != nil {
+		t.Fatal(err)
+	}
+	if err := edgeB.ImportUserModel(exported); err != nil {
+		t.Fatal(err)
+	}
+
+	a, err := edgeA.AcquireCodec("it", "u1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := a.Model.Codec.Clone()
+	if err := ref.SetTier(semantic.TierF32); err != nil {
+		t.Fatal(err)
+	}
+	got, err := edgeB.Encode(sc, "it", "u1", words)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ref.EncodeWordsInto(sc, words)
+	bad := 0
+	for i, v := range got.Features.Data {
+		if v != want.Data[i] {
+			bad++
+		}
+	}
+	if bad > 0 {
+		t.Fatalf("after import, %d of %d feature elements differ from a fresh f32 copy of the imported weights",
+			bad, len(want.Data))
+	}
+	x := got.Model.Codec.RoundTrip(words)
+	y := ref.RoundTrip(words)
+	for i := range x {
+		if x[i] != y[i] {
+			t.Fatalf("after import, decoder copy of %q = %d, fresh copy %d", words[i], x[i], y[i])
+		}
 	}
 }

@@ -173,7 +173,8 @@ func RunE12(env *Env, opts E12Options) (*E12Result, error) {
 		}
 	}
 
-	// Compute column: batched encode+decode over one token stream, best of
+	// Compute column: batched encode+decode kernels over one token stream
+	// (the kernels themselves, not the token table serving reads), best of
 	// five rounds after a warm-up, run serially so tiers do not contend.
 	var words []string
 	for len(words) < opts.TimingTokens {
@@ -188,7 +189,7 @@ func RunE12(env *Env, opts E12Options) (*E12Result, error) {
 		codec := sets[0].codecs[ti]
 		run := func() {
 			sc.Reset()
-			codec.DecodeFeaturesInto(sc, codec.EncodeWordsInto(sc, words), concepts)
+			codec.DecodeFeaturesKernel(sc, codec.EncodeWordsKernel(sc, words), concepts)
 		}
 		run() // warm-up: builds tier shadows, fills scratch arenas
 		best := time.Duration(1<<63 - 1)

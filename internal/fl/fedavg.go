@@ -38,14 +38,18 @@ func ApplyAverageDelta(codec *semantic.Codec, deltas []*nn.ParamSet, scale float
 		return errNoDeltas
 	}
 	target := codec.Params()
-	factor := scale / float64(len(deltas))
 	for _, d := range deltas {
 		if len(d.Params) != len(target.Params) {
 			return errors.New("fl: delta shape mismatch")
 		}
-		target.AddScaled(factor, d)
 	}
-	return nil
+	factor := scale / float64(len(deltas))
+	return codec.WriteWeights(func() error {
+		for _, d := range deltas {
+			target.AddScaled(factor, d)
+		}
+		return nil
+	})
 }
 
 // DPConfig enables differentially private aggregation (the §III-C
@@ -129,7 +133,10 @@ func RunFederated(general *semantic.Codec, donorData [][]semantic.Example, cfg F
 			// Gaussian mechanism: per-coordinate noise scaled to the
 			// clipped per-donor sensitivity divided by the donor count.
 			sigma := cfg.DP.NoiseMultiplier * cfg.DP.ClipNorm / float64(len(deltas))
-			addGaussianNoise(global.Params(), sigma, noiseRNG)
+			_ = global.WriteWeights(func() error { // the write cannot fail
+				addGaussianNoise(global.Params(), sigma, noiseRNG)
+				return nil
+			})
 		}
 	}
 	return global, nil

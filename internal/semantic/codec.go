@@ -92,6 +92,16 @@ type Codec struct {
 	// tiers caches the reduced-precision weight shadows for the current
 	// serving tier (nil when cold or invalidated; always nil at TierF64).
 	tiers atomic.Pointer[tierState]
+	// table caches the token table serving reads (see table.go).
+	table atomic.Pointer[tokenTable]
+	// gen counts changes to what tiers and table derive from: the
+	// weights, the tier and the feature image. Each derived structure is
+	// tagged with the generation it was built at and used only while the
+	// tag is current, so a build that raced a write is never served.
+	gen atomic.Uint64
+	// image maps a sent feature row to the row a receiver decodes when
+	// the link flips no bit; nil when unset (see SetFeatureImage).
+	image func(dst, src []float64)
 }
 
 // NewCodec builds an untrained codec for domain d.
@@ -152,16 +162,61 @@ func (c *Codec) DecoderParams() *nn.ParamSet {
 
 // Clone returns a deep copy of the codec. Individual (user-specific) models
 // start as clones of the domain's general model, exactly as in the paper's
-// Fig. 1 step 2.
+// Fig. 1 step 2. The clone shares the parent's current token table and
+// tier shadows, which equal weights make valid for both, until its own
+// weights change: a re-cloned individual model builds nothing.
 func (c *Codec) Clone() *Codec {
-	return &Codec{
+	cl := &Codec{
 		domain: c.domain,
 		cfg:    c.cfg,
 		emb:    &nn.Embedding{Table: c.emb.Table.Clone()},
 		enc:    &nn.Linear{W: c.enc.W.Clone(), B: c.enc.B.Clone()},
 		dec:    &nn.Linear{W: c.dec.W.Clone(), B: c.dec.B.Clone()},
 		out:    &nn.Linear{W: c.out.W.Clone(), B: c.out.B.Clone()},
+		image:  c.image,
 	}
+	// Same generation, same derived state: the tags keep rejecting any
+	// entry that was already stale for the parent.
+	cl.gen.Store(c.gen.Load())
+	cl.table.Store(c.table.Load())
+	cl.tiers.Store(c.tiers.Load())
+	return cl
+}
+
+// WriteWeights runs write, which changes the codec's weights in place
+// through the shared storage of Params, EncoderParams or DecoderParams,
+// and then drops everything derived from the weights (the kernel-tier
+// shadows and the token table), so no later serving call reads a value
+// computed from the old weights. Every in-place weight write goes through
+// it; TrainEpoch does the same internally. Derived state is dropped even
+// when write fails, since a failed write may have changed some tensors.
+// Like any weight write, it must not run concurrently with serving calls
+// on the same codec.
+func (c *Codec) WriteWeights(write func() error) error {
+	err := write()
+	c.dropDerived()
+	return err
+}
+
+// dropDerived retires every structure derived from the weights, tier or
+// feature image: the generation bump rejects any build still in flight.
+func (c *Codec) dropDerived() {
+	c.gen.Add(1)
+	c.tiers.Store(nil)
+	c.table.Store(nil)
+}
+
+// SetFeatureImage installs the map from a sent feature row to the row a
+// receiver decodes when the link flips no bit: for a digital feature link,
+// the quantize-dequantize round trip. The token table then also memoizes
+// the decode of every surface row's image, so flip-free receptions skip
+// the decoder kernels. nil removes the image entries. Output does not
+// depend on the image, only the hit rate does: the memo answers only rows
+// it holds bit for bit. Call it before serving, like SetTier; clones
+// inherit it.
+func (c *Codec) SetFeatureImage(image func(dst, src []float64)) {
+	c.image = image
+	c.dropDerived()
 }
 
 // SizeBytes returns the serialized size of all parameters: the footprint
@@ -183,13 +238,18 @@ func (c *Codec) EncodeSurfaceID(id int, dst []float64) {
 	nn.TanhForward(dst, dst)
 }
 
+// clampID maps out-of-lexicon IDs to the unknown surface.
+func (c *Codec) clampID(id int) int {
+	if id < 0 || id >= c.emb.Vocab() {
+		return corpus.UnknownSurfaceID
+	}
+	return id
+}
+
 // embeddingRow returns the embedding for id, clamping out-of-lexicon IDs to
 // the unknown surface.
 func (c *Codec) embeddingRow(id int) []float64 {
-	if id < 0 || id >= c.emb.Vocab() {
-		id = corpus.UnknownSurfaceID
-	}
-	return c.emb.Lookup(id)
+	return c.emb.Lookup(c.clampID(id))
 }
 
 // packSurfaceEmbeddings gathers the embeddings of the given surface IDs
@@ -202,82 +262,108 @@ func (c *Codec) packSurfaceEmbeddings(sc *mat.Scratch, ids []int) *mat.Dense {
 	return x
 }
 
-// encodeWordsTo runs the batched encoder over words, writing the per-token
-// features into dst (len(words) x FeatureDim): one gather of the token
-// embeddings, one GEMM, one tanh sweep. Temporaries come from sc.
-func (c *Codec) encodeWordsTo(sc *mat.Scratch, dst *mat.Dense, words []string) {
+// encodeKernel runs the tier's batched encoder over surface ids, writing
+// the per-token features into dst (len(ids) x FeatureDim): one gather of
+// the token embeddings, one GEMM, one tanh sweep. Temporaries come from sc.
+func (c *Codec) encodeKernel(sc *mat.Scratch, dst *mat.Dense, ids []int) {
 	if c.cfg.Tier != TierF64 {
-		c.encodeWordsToTiered(sc, dst, words)
+		c.encodeKernelTiered(sc, dst, ids)
 		return
 	}
-	x := sc.Mat(len(words), c.cfg.EmbedDim)
-	for i, w := range words {
-		copy(x.Row(i), c.embeddingRow(c.domain.SurfaceID(w)))
-	}
-	c.enc.ForwardBatch(dst, x)
+	c.enc.ForwardBatch(dst, c.packSurfaceEmbeddings(sc, ids))
 	nn.TanhForward(dst.Data, dst.Data)
+}
+
+// decodeKernel runs the tier's batched decoder over a feats.Rows x
+// FeatureDim feature matrix, writing concept indices into dst: two GEMMs
+// (hidden, logits) and an argmax sweep, with all temporaries from sc.
+func (c *Codec) decodeKernel(sc *mat.Scratch, feats *mat.Dense, dst []int) {
+	if c.cfg.Tier != TierF64 {
+		c.decodeKernelTiered(sc, feats, dst)
+		return
+	}
+	h := sc.Mat(feats.Rows, c.cfg.HiddenDim)
+	c.dec.ForwardBatch(h, feats)
+	nn.TanhForward(h.Data, h.Data)
+	logits := sc.Mat(feats.Rows, c.domain.NumConcepts())
+	c.out.ForwardBatch(logits, h)
+	for i := 0; i < feats.Rows; i++ {
+		dst[i] = mat.Argmax(logits.Row(i))
+	}
+}
+
+// encodeWordsTo writes the per-token features of words into dst
+// (len(words) x FeatureDim), read from the token table.
+func (c *Codec) encodeWordsTo(dst *mat.Dense, words []string) {
+	t := c.tokens()
+	for i, w := range words {
+		copy(dst.Row(i), t.surface(c.surfaceID(w)))
+	}
 }
 
 // EncodeWordsInto encodes a token sequence into a len(words) x FeatureDim
 // feature matrix allocated from sc: the zero-allocation batched encode used
 // by the steady-state serving path. Words outside the domain lexicon encode
-// as the unknown surface. The result is bit-identical to per-token
-// EncodeSurfaceID calls at any worker count; it is owned by sc and must be
-// consumed before the scratch is reset or returned to the pool.
+// as the unknown surface. The rows are copied from the token table, so the
+// result is bit-identical to EncodeWordsKernel (and, at TierF64, to
+// per-token EncodeSurfaceID calls) at any worker count; it is owned by sc
+// and must be consumed before the scratch is reset or returned to the pool.
 func (c *Codec) EncodeWordsInto(sc *mat.Scratch, words []string) *mat.Dense {
 	dst := sc.Mat(len(words), c.cfg.FeatureDim)
-	c.encodeWordsTo(sc, dst, words)
+	c.encodeWordsTo(dst, words)
 	return dst
 }
 
-// EncodeBatchInto encodes a batch of messages in one fused pass: every
-// token of every message is gathered into a single embedding matrix and
-// pushed through one encoder GEMM and one tanh sweep. The result matrix
-// (sum(len(msgs[i])) x FeatureDim, allocated from sc) holds the messages'
-// feature rows concatenated in msgs order.
+// EncodeWordsKernel is EncodeWordsInto computed by the tier's encoder
+// kernel instead of read from the token table. Serving does not use it;
+// it exists to time the kernels and to check the table against them.
+func (c *Codec) EncodeWordsKernel(sc *mat.Scratch, words []string) *mat.Dense {
+	ids := sc.Ints(len(words))
+	for i, w := range words {
+		ids[i] = c.domain.SurfaceID(w)
+	}
+	dst := sc.Mat(len(words), c.cfg.FeatureDim)
+	c.encodeKernel(sc, dst, ids)
+	return dst
+}
+
+// EncodeBatchInto encodes a batch of messages in one pass: the result
+// matrix (sum(len(msgs[i])) x FeatureDim, allocated from sc) holds the
+// messages' feature rows concatenated in msgs order.
 //
-// Because each output row of the batched GEMM depends only on its own
-// input row and keeps the exact serial accumulation order per element,
-// rows [start_i, start_i+len(msgs[i])) are bit-identical to a solo
-// EncodeWordsInto(sc, msgs[i]) call at any worker count and any batch
-// composition. This is what makes cross-request batching transparent: a
-// request cannot tell which batch it landed in.
+// Every row is a token-table row, and each table row equals a solo kernel
+// call on that token, so rows [start_i, start_i+len(msgs[i])) are
+// bit-identical to a solo EncodeWordsInto(sc, msgs[i]) call at any worker
+// count and any batch composition. This is what makes cross-request
+// batching transparent: a request cannot tell which batch it landed in.
 func (c *Codec) EncodeBatchInto(sc *mat.Scratch, msgs [][]string) *mat.Dense {
 	total := 0
 	for _, m := range msgs {
 		total += len(m)
 	}
-	if c.cfg.Tier != TierF64 {
-		return c.encodeBatchIntoTiered(sc, msgs, total)
-	}
-	x := sc.Mat(total, c.cfg.EmbedDim)
+	t := c.tokens()
+	dst := sc.Mat(total, c.cfg.FeatureDim)
 	row := 0
 	for _, m := range msgs {
 		for _, w := range m {
-			copy(x.Row(row), c.embeddingRow(c.domain.SurfaceID(w)))
+			copy(dst.Row(row), t.surface(c.surfaceID(w)))
 			row++
 		}
 	}
-	dst := sc.Mat(total, c.cfg.FeatureDim)
-	c.enc.ForwardBatch(dst, x)
-	nn.TanhForward(dst.Data, dst.Data)
 	return dst
 }
 
 // EncodeWords encodes a token sequence into per-token feature vectors.
 // Words outside the domain lexicon encode as the unknown surface. Encoding
 // only reads the codec, so it is safe to call concurrently. The returned
-// vectors are rows of one batched GEMM result, bit-identical to per-token
-// encoding.
+// vectors are rows of one feature matrix, bit-identical to EncodeWordsInto.
 func (c *Codec) EncodeWords(words []string) [][]float64 {
 	feats := make([][]float64, len(words))
 	if len(words) == 0 {
 		return feats
 	}
-	sc := mat.GetScratch()
-	defer mat.PutScratch(sc)
 	dst := mat.NewDense(len(words), c.cfg.FeatureDim)
-	c.encodeWordsTo(sc, dst, words)
+	c.encodeWordsTo(dst, words)
 	for i := range feats {
 		feats[i] = dst.Row(i)
 	}
@@ -296,33 +382,35 @@ func (c *Codec) DecodeFeature(feat []float64) int {
 }
 
 // DecodeFeaturesInto decodes a feats.Rows x FeatureDim feature matrix into
-// concept indices written to dst (length feats.Rows): two batched GEMMs
-// (hidden, logits) and an argmax sweep, with all temporaries drawn from sc.
-// It is the zero-allocation batched decode used by the steady-state serving
-// path and is bit-identical to per-token DecodeFeature calls at any worker
-// count.
+// concept indices written to dst (length feats.Rows). Rows the token
+// table's decode memo holds bit for bit are answered from it; the rest run
+// through the tier's decoder kernel in one batched pass (two GEMMs and an
+// argmax sweep), with all temporaries drawn from sc. It is the
+// zero-allocation batched decode used by the steady-state serving path and
+// is bit-identical to DecodeFeaturesKernel, and to per-token DecodeFeature
+// calls, at any worker count.
 func (c *Codec) DecodeFeaturesInto(sc *mat.Scratch, feats *mat.Dense, dst []int) {
 	if len(dst) != feats.Rows {
 		panic("semantic: DecodeFeaturesInto dst length mismatch")
 	}
-	if c.cfg.Tier != TierF64 {
-		c.decodeFeaturesIntoTiered(sc, feats, dst)
-		return
+	c.decodeFromTable(sc, c.tokens(), feats, dst)
+}
+
+// DecodeFeaturesKernel is DecodeFeaturesInto computed by the tier's
+// decoder kernel for every row, bypassing the token table. Serving does
+// not use it; it exists to time the kernels and to check the table
+// against them.
+func (c *Codec) DecodeFeaturesKernel(sc *mat.Scratch, feats *mat.Dense, dst []int) {
+	if len(dst) != feats.Rows {
+		panic("semantic: DecodeFeaturesKernel dst length mismatch")
 	}
-	h := sc.Mat(feats.Rows, c.cfg.HiddenDim)
-	c.dec.ForwardBatch(h, feats)
-	nn.TanhForward(h.Data, h.Data)
-	logits := sc.Mat(feats.Rows, c.domain.NumConcepts())
-	c.out.ForwardBatch(logits, h)
-	for i := 0; i < feats.Rows; i++ {
-		dst[i] = mat.Argmax(logits.Row(i))
-	}
+	c.decodeKernel(sc, feats, dst)
 }
 
 // DecodeFeatures decodes a feature sequence into concept indices. Decoding
 // only reads the codec, so it is safe to call concurrently. The sequence is
-// packed into one matrix and decoded with batched GEMMs, bit-identical to
-// per-token decoding.
+// packed into one matrix and decoded like DecodeFeaturesInto, bit-identical
+// to per-token decoding.
 func (c *Codec) DecodeFeatures(feats [][]float64) []int {
 	out := make([]int, len(feats))
 	if len(feats) == 0 {
@@ -352,16 +440,35 @@ func (c *Codec) RestoreWords(concepts []int) []string {
 }
 
 // RoundTripInto encodes then decodes words with no channel in between,
-// writing the decoded concepts into dst (length len(words)). All
-// temporaries come from sc, so steady-state calls allocate nothing.
+// writing the decoded concepts into dst (length len(words)). Each token's
+// round trip is a token-table entry, so no kernel runs once the entry is
+// filled; temporaries come from sc, so steady-state calls allocate
+// nothing.
 func (c *Codec) RoundTripInto(sc *mat.Scratch, words []string, dst []int) {
-	c.DecodeFeaturesInto(sc, c.EncodeWordsInto(sc, words), dst)
+	if len(dst) != len(words) {
+		panic("semantic: RoundTripInto dst length mismatch")
+	}
+	// A surface's round trip is the decode of its own encoder row: read
+	// the filled entries directly, and decode the rows once if any is not.
+	t := c.tokens()
+	filled := true
+	for i, w := range words {
+		v := t.concept[c.surfaceID(w)].Load()
+		dst[i] = int(v - 1)
+		filled = filled && v != 0
+	}
+	if !filled {
+		rows := sc.Mat(len(words), t.dim)
+		for i, w := range words {
+			copy(rows.Row(i), t.surface(c.surfaceID(w)))
+		}
+		c.decodeFromTable(sc, t, rows, dst)
+	}
 }
 
 // RoundTrip encodes then decodes words with no channel in between; it is
 // the sender-edge "decoder copy" computation from the paper's §II-C used
-// for mismatch calculation. One scratch arena from the package pool backs
-// the whole round trip instead of per-token buffers.
+// for mismatch calculation, read from the token table.
 func (c *Codec) RoundTrip(words []string) []int {
 	out := make([]int, len(words))
 	if len(words) == 0 {

@@ -8,12 +8,14 @@ import (
 	"repro/internal/nn"
 )
 
-// Tier selects the numeric kernels the codec's serving entry points
+// Tier selects the numeric kernels behind the codec's serving entry points
 // (EncodeWordsInto/EncodeBatchInto/DecodeFeaturesInto and the APIs built on
-// them) run on. Training and the single-token EncodeSurfaceID always run
-// the bit-exact f64 path regardless of tier, so tiers never change what a
-// model learns — only how cheaply it serves. Evaluate decodes through the
-// serving tier, so it reports the accuracy users of that tier would see.
+// them): the kernels that build the token table and decode the rows its
+// memo does not hold. Training and the single-token EncodeSurfaceID always
+// run the bit-exact f64 path regardless of tier, so tiers never change
+// what a model learns — only how cheaply it serves. Evaluate decodes
+// through the serving tier, so it reports the accuracy users of that tier
+// would see.
 type Tier uint8
 
 const (
@@ -60,10 +62,12 @@ func ParseTier(s string) (Tier, error) {
 func Tiers() []Tier { return []Tier{TierF64, TierF32, TierInt8} }
 
 // tierState caches the reduced-precision weight shadows of one codec for
-// one tier. It is immutable once built; the codec swaps whole states
-// atomically, so concurrent readers either see a complete state or build
-// their own identical one (the build is deterministic).
+// one tier and weight generation. It is immutable once built; the codec
+// swaps whole states atomically, so concurrent readers either see a
+// complete state or build their own identical one (the build is
+// deterministic).
 type tierState struct {
+	gen   uint64
 	tier  Tier
 	emb32 *mat.Dense32 // vocab x E, shared by f32 and int8 tiers
 
@@ -75,34 +79,28 @@ type tierState struct {
 func (c *Codec) Tier() Tier { return c.cfg.Tier }
 
 // SetTier selects the kernel tier for subsequent serving calls and drops
-// any cached weight shadows. It returns an error for an undefined tier
-// value. Safe to call on a live codec: in-flight decodes finish on the
-// shadows they already loaded.
+// the cached weight shadows and token table. It returns an error for an
+// undefined tier value. Safe to call on a live codec: in-flight decodes
+// finish on the shadows they already loaded.
 func (c *Codec) SetTier(t Tier) error {
 	if t > TierInt8 {
 		return fmt.Errorf("semantic: undefined kernel tier %d", uint8(t))
 	}
 	c.cfg.Tier = t
-	c.tiers.Store(nil)
+	c.dropDerived()
 	return nil
 }
 
-// InvalidateTierCache drops the cached reduced-precision weight shadows.
-// Every path that mutates parameter tensors must invalidate: TrainEpoch
-// (covering Pretrain/FineTune/fl.RunUpdate) does it internally, and
-// fl.ApplyUpdate — which writes through shared ParamSet storage — calls
-// this explicitly. The next tiered call lazily re-derives the shadows from
-// the current weights.
-func (c *Codec) InvalidateTierCache() { c.tiers.Store(nil) }
-
 // tierShadow returns the weight shadows for the current tier, building and
-// caching them on first use (or after an invalidation). Concurrent callers
+// caching them on first use (or after a weight write). Concurrent callers
 // may race to build; the results are identical and one winner is kept.
 func (c *Codec) tierShadow() *tierState {
-	if ts := c.tiers.Load(); ts != nil && ts.tier == c.cfg.Tier {
-		return ts
+	gen := c.gen.Load()
+	cur := c.tiers.Load()
+	if cur != nil && cur.gen == gen && cur.tier == c.cfg.Tier {
+		return cur
 	}
-	ts := &tierState{tier: c.cfg.Tier, emb32: mat.Dense32From(c.emb.Table)}
+	ts := &tierState{gen: gen, tier: c.cfg.Tier, emb32: mat.Dense32From(c.emb.Table)}
 	switch c.cfg.Tier {
 	case TierF32:
 		ts.enc32 = nn.NewLinear32(c.enc)
@@ -113,7 +111,7 @@ func (c *Codec) tierShadow() *tierState {
 		ts.decQ8 = nn.NewLinearQ8(c.dec)
 		ts.outQ8 = nn.NewLinearQ8(c.out)
 	}
-	c.tiers.Store(ts)
+	c.tiers.CompareAndSwap(cur, ts)
 	return ts
 }
 
@@ -126,14 +124,14 @@ func (c *Codec) embeddingRow32(ts *tierState, id int) []float32 {
 	return ts.emb32.Row(id)
 }
 
-// encodeWordsToTiered is the f32/int8 body of encodeWordsTo: gather the f32
+// encodeKernelTiered is the f32/int8 body of encodeKernel: gather the f32
 // embeddings, run the tier's encoder kernel, apply the polynomial tanh and
 // widen the features into dst for the (float64) channel layer.
-func (c *Codec) encodeWordsToTiered(sc *mat.Scratch, dst *mat.Dense, words []string) {
+func (c *Codec) encodeKernelTiered(sc *mat.Scratch, dst *mat.Dense, ids []int) {
 	ts := c.tierShadow()
-	x := sc.Mat32(len(words), c.cfg.EmbedDim)
-	for i, w := range words {
-		copy(x.Row(i), c.embeddingRow32(ts, c.domain.SurfaceID(w)))
+	x := sc.Mat32(len(ids), c.cfg.EmbedDim)
+	for i, id := range ids {
+		copy(x.Row(i), c.embeddingRow32(ts, id))
 	}
 	c.encodeGathered32(sc, ts, x, dst)
 }
@@ -151,26 +149,9 @@ func (c *Codec) encodeGathered32(sc *mat.Scratch, ts *tierState, x *mat.Dense32,
 	mat.Widen(dst.Data, f.Data)
 }
 
-// encodeBatchIntoTiered is the f32/int8 body of EncodeBatchInto.
-func (c *Codec) encodeBatchIntoTiered(sc *mat.Scratch, msgs [][]string, total int) *mat.Dense {
-	ts := c.tierShadow()
-	x := sc.Mat32(total, c.cfg.EmbedDim)
-	row := 0
-	for _, m := range msgs {
-		for _, w := range m {
-			copy(x.Row(row), c.embeddingRow32(ts, c.domain.SurfaceID(w)))
-			row++
-		}
-	}
-	dst := sc.Mat(total, c.cfg.FeatureDim)
-	c.encodeGathered32(sc, ts, x, dst)
-	return dst
-}
-
-// decodeFeaturesIntoTiered is the f32/int8 body of DecodeFeaturesInto:
-// narrow the features, run the tier's two decoder kernels and argmax in
-// float32.
-func (c *Codec) decodeFeaturesIntoTiered(sc *mat.Scratch, feats *mat.Dense, dst []int) {
+// decodeKernelTiered is the f32/int8 body of decodeKernel: narrow the
+// features, run the tier's two decoder kernels and argmax in float32.
+func (c *Codec) decodeKernelTiered(sc *mat.Scratch, feats *mat.Dense, dst []int) {
 	ts := c.tierShadow()
 	f := sc.Mat32(feats.Rows, feats.Cols)
 	mat.Narrow(f.Data, feats.Data)

@@ -194,7 +194,9 @@ func TestTierServingIsDeterministic(t *testing.T) {
 		}
 		sc := mat.GetScratch()
 		first := append([]float64(nil), c.EncodeWordsInto(sc, words).Data...)
-		c.InvalidateTierCache()
+		if err := c.WriteWeights(func() error { return nil }); err != nil {
+			t.Fatal(err)
+		}
 		again := c.EncodeWordsInto(sc, words)
 		for i, v := range again.Data {
 			if v != first[i] {

@@ -135,8 +135,8 @@ func (c *Codec) TrainEpoch(examples []Example, opt nn.Optimizer, rng *mat.RNG, n
 		scaleGrads(grads, 1/float64(n))
 		opt.Step(params, grads)
 		grads.Zero()
-		// Weights changed: any cached reduced-precision shadows are stale.
-		c.tiers.Store(nil)
+		// Weights changed: the tier shadows and token table are stale.
+		c.dropDerived()
 	}
 	nEx := float64(len(examples))
 	if nEx == 0 {
@@ -161,7 +161,11 @@ const evalChunk = 256
 // GEMM pipeline in fixed-size chunks over one reused scratch arena instead
 // of allocating per-example feature/hidden/logit buffers; the decoded
 // concepts (and therefore the accuracy) are bit-identical to the
-// per-example path.
+// per-example path. The decode runs the serving tier's kernel directly,
+// not the token table (whose output is the kernel's): Evaluate brackets
+// the fine-tuning writes of an update, which discard most entries it
+// would fill, and its 256-row chunks through the table's miss path grow
+// the pooled scratch arenas.
 func (c *Codec) Evaluate(examples []Example) float64 {
 	if len(examples) == 0 {
 		return 0
@@ -181,7 +185,7 @@ func (c *Codec) Evaluate(examples []Example) float64 {
 		c.enc.ForwardBatch(feats, c.packSurfaceEmbeddings(sc, ids))
 		nn.TanhForward(feats.Data, feats.Data)
 		decoded := sc.Ints(n)
-		c.DecodeFeaturesInto(sc, feats, decoded)
+		c.decodeKernel(sc, feats, decoded)
 		for t, ex := range chunk {
 			if decoded[t] == ex.ConceptID {
 				correct++
